@@ -20,7 +20,6 @@ from fujiki_oka import (
     fan_json_text,
     fan_to_svg,
     star_subdivide,
-    subdivision_point,
     validate_fan,
     subdivision_tree_dot,
 )
@@ -32,7 +31,8 @@ root = Cone(axes, group.fraction, ())
 
 print(f"resolving {group}")
 print(f"root cone multiplicity: {cone_multiplicity(root, group)}")
-print(f"first subdivision point: {subdivision_point(root, group)}")
+point, _ = star_subdivide(root, group)
+print(f"first subdivision point: {point}")
 print()
 
 # walk the subdivision tree manually, worklist style
@@ -43,7 +43,8 @@ while stack:
     pad = "  " * len(cone.word)
     print(f"{pad}cone {cone.word or '()'}: type {cone.local_type}, multiplicity {mult}")
     if not cone.is_smooth_type():
-        stack.extend(reversed(star_subdivide(cone, group)))
+        _, children = star_subdivide(cone, group)
+        stack.extend(reversed(children))
 print()
 
 # the library call does the same thing and indexes the result

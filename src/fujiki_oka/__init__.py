@@ -19,12 +19,8 @@ from .fan import (
     cone_multiplicity,
     det_int,
     discrepancy,
-    euler_characteristic,
-    lattice_contains,
-    primitive_in_lattice,
     resolution_report,
     star_subdivide,
-    subdivision_point,
     validate_fan,
 )
 from .polynomial import RemainderPolynomial, Term, expand
@@ -38,7 +34,6 @@ from .render import (
 )
 from .verify import (
     Comparison2D,
-    SweepRecord,
     check_identities,
     compare_2d,
     family_type,
@@ -64,7 +59,6 @@ __all__ = [
     "RayInfo",
     "RemainderPolynomial",
     "ResolutionReport",
-    "SweepRecord",
     "Term",
     "build_resolution",
     "check_identities",
@@ -72,7 +66,6 @@ __all__ = [
     "cone_multiplicity",
     "det_int",
     "discrepancy",
-    "euler_characteristic",
     "expand",
     "family_type",
     "fan_json_text",
@@ -80,13 +73,10 @@ __all__ = [
     "fan_to_svg",
     "hj_evaluate",
     "hj_expansion",
-    "lattice_contains",
     "measure_type",
     "polynomial_json_text",
-    "primitive_in_lattice",
     "resolution_report",
     "star_subdivide",
-    "subdivision_point",
     "subdivision_tree_dot",
     "summarize",
     "sweep",

@@ -44,6 +44,16 @@ def _parse_weights(text: str) -> tuple[int, ...]:
         )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_type_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-r", "--order", type=int, required=True, help="group order r")
     sub.add_argument(
@@ -73,7 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="run all cross-checks on one type")
     _add_type_args(p)
-    p.add_argument("--samples", type=int, default=1000, help="coverage sample count")
+    p.add_argument(
+        "--samples", type=_positive_int, default=1000, help="coverage sample count"
+    )
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
 
     p = subs.add_parser("sweep", help="resolve every type in a range")
@@ -89,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("family", help="resolve members of a classical family")
     p.add_argument("name", choices=("plus", "minus"), help="which family")
     p.add_argument("-k", type=int, default=None, help="single member index")
-    p.add_argument("--k-max", type=int, default=None, help="members 1..k_max")
+    p.add_argument("--k-max", type=_positive_int, default=None, help="members 1..k_max")
 
     p = subs.add_parser("export", help="write artifacts for a type")
     _add_type_args(p)
@@ -137,20 +149,19 @@ def _checkline(ok: bool, label: str) -> bool:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     group = _group(args)
-    report, fan, poly = resolution_report(group, samples=args.samples, seed=args.seed)
+    report, _, _ = resolution_report(group, samples=args.samples, seed=args.seed)
     print(f"type {group}")
-    print(f"euler {report.euler}  size {report.size}  height {report.total_height}")
+    print(f"euler {report.euler}  size {report.size}  height {report.height}")
     ok = True
-    r = group.r
-    ok &= _checkline(report.size == report.total_height + r, "size = height + r")
-    ok &= _checkline(report.euler == report.size, "euler = size")
-    ok &= _checkline(report.euler == report.total_height + r, "euler = height + r")
+    ok &= _checkline(report.identity_size_height, "size = height + r")
+    ok &= _checkline(report.identity_euler_size, "euler = size")
+    ok &= _checkline(report.identity_euler_height, "euler = height + r")
     ok &= _checkline(
-        report.crepant_by_ages == report.crepant_by_fan,
+        report.crepancy_agrees,
         f"crepancy criteria agree ({'crepant' if report.crepant else 'not crepant'})",
     )
     v = report.validation
-    ok &= _checkline(v.multiplicity_ok, "multiplicities all 1")
+    ok &= _checkline(report.smooth_all, "multiplicities all 1")
     ok &= _checkline(v.rays_ok, "rays primitive in the lattice")
     ok &= _checkline(
         v.coverage_ok,
@@ -159,6 +170,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     ok &= _checkline(v.faces_ok, "cone pairs meet in common faces")
     if group.n == 2:
+        r = group.r
         a = group.weights[1] if group.weights[0] == 1 else group.weights[0]
         if 0 < a < r:
             cmp2 = compare_2d(r, a)

@@ -21,6 +21,7 @@ integers with explicit magnitude guards and an exact fallback.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -169,14 +170,6 @@ class GroupType:
         return f"1/{self.r}({','.join(str(w) for w in self.weights)})"
 
 
-def lattice_contains(point: ScaledPoint, group: GroupType) -> bool:
-    return group.contains(point)
-
-
-def primitive_in_lattice(point: ScaledPoint, group: GroupType) -> ScaledPoint:
-    return group.primitive(point)
-
-
 def discrepancy(point: ScaledPoint, group: GroupType) -> Fraction:
     """Discrepancy of the divisor on the ray through ``point``.
 
@@ -256,25 +249,15 @@ def cone_multiplicity(cone: Cone, group: GroupType) -> int:
     return q
 
 
-def subdivision_point(cone: Cone, group: GroupType) -> ScaledPoint:
-    """The lattice point at which ``cone`` gets star-subdivided."""
-    w, _ = _subdivide(cone, group)
-    return w
-
-
-def star_subdivide(cone: Cone, group: GroupType) -> list[Cone]:
+def star_subdivide(cone: Cone, group: GroupType) -> tuple[ScaledPoint, list[Cone]]:
     """Star-subdivide one cone at the point named by its local type.
 
     The point is ``sum_k b_k g_k / s`` for local type ``(b_1,...,b_n)/s``.
     Child k swaps generator k for that point, appends k to the word and
     carries the k-th remainder image as its local type; slots with
     ``b_k = 0`` would give a lower-dimensional cone and are omitted.
+    Returns the point and the children.
     """
-    _, children = _subdivide(cone, group)
-    return children
-
-
-def _subdivide(cone: Cone, group: GroupType) -> tuple[ScaledPoint, list[Cone]]:
     b = cone.local_type
     s = b.denominator
     if s < 2:
@@ -342,7 +325,7 @@ def build_resolution(group: GroupType, max_depth: int | None = None) -> Fan:
         if cone.is_smooth_type() or stop:
             leaves.append(cone)
             continue
-        point, children = _subdivide(cone, group)
+        point, children = star_subdivide(cone, group)
         creation.append(point)
         stack.extend(reversed(children))
     present = {g for c in leaves for g in c.generators}
@@ -354,10 +337,6 @@ def build_resolution(group: GroupType, max_depth: int | None = None) -> Fan:
             ray_points.append(g)
     rays = tuple(_ray_info(g, group) for g in ray_points)
     return Fan(group, tuple(leaves), rays, tuple(nodes))
-
-
-def euler_characteristic(fan: Fan) -> int:
-    return fan.euler
 
 
 # ---------------------------------------------------------------------------
@@ -609,25 +588,58 @@ def _nonneg_combination(point, gens) -> bool:
 
 @dataclass(frozen=True)
 class ResolutionReport:
-    """Everything the resolution of one group type establishes."""
+    """Everything the resolution of one group type establishes.
 
-    group: GroupType
-    euler: int
-    total_height: int
+    Sweeps keep one record per type, so it holds only numbers and flags:
+    no group, fan, polynomial or per-ray data.  ``validation`` is ``None``
+    when the sampled validation was skipped; ``ms`` is wall clock.
+    """
+
+    r: int
+    weights: tuple[int, ...]
     size: int
-    crepant: bool
+    height: int
+    euler: int
+    smooth_all: bool
     crepant_by_ages: bool
     crepant_by_fan: bool
-    discrepancies: tuple[tuple[ScaledPoint, Fraction], ...]
-    identities_ok: bool
     validation: FanValidation | None
+    ms: float
 
     @property
-    def passed(self) -> bool:
-        ok = self.identities_ok and self.crepant_by_ages == self.crepant_by_fan
-        if self.validation is not None:
-            ok = ok and self.validation.passed
-        return ok
+    def identity_size_height(self) -> bool:
+        return self.size == self.height + self.r
+
+    @property
+    def identity_euler_size(self) -> bool:
+        return self.euler == self.size
+
+    @property
+    def identity_euler_height(self) -> bool:
+        return self.euler == self.height + self.r
+
+    @property
+    def crepancy_agrees(self) -> bool:
+        return self.crepant_by_ages == self.crepant_by_fan
+
+    @property
+    def crepant(self) -> bool:
+        return self.crepant_by_ages and self.crepant_by_fan
+
+    @property
+    def gorenstein(self) -> bool:
+        return sum(self.weights) % self.r == 0
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.smooth_all
+            and self.identity_size_height
+            and self.identity_euler_size
+            and self.identity_euler_height
+            and self.crepancy_agrees
+            and (self.validation is None or self.validation.passed)
+        )
 
 
 def resolution_report(
@@ -640,30 +652,28 @@ def resolution_report(
 
     The Euler characteristic comes from counting cones of the geometric
     construction; the size and total height come from the purely arithmetic
-    expansion.  The report records whether they agree
-    (``euler == size == total_height + r``).
+    expansion.  Leaf multiplicities come from ``validate_fan`` when
+    validating and are computed directly otherwise, never twice.
     """
+    t0 = time.perf_counter()
     fan = build_resolution(group)
     poly = expand(group.fraction)
-    size = poly.size()
-    height = poly.total_height()
-    by_ages = poly.all_ages_one()
-    by_fan = fan.is_crepant()
-    discrepancies = tuple(
-        (ray.scaled, ray.discrepancy) for ray in fan.rays if ray.exceptional
-    )
-    identities = fan.euler == size == height + group.r
-    validation = validate_fan(fan, samples=samples, seed=seed) if validate else None
+    if validate:
+        validation = validate_fan(fan, samples=samples, seed=seed)
+        smooth = validation.multiplicity_ok
+    else:
+        validation = None
+        smooth = all(cone_multiplicity(c, group) == 1 for c in fan.max_cones)
     report = ResolutionReport(
-        group=group,
+        r=group.r,
+        weights=group.weights,
+        size=poly.size(),
+        height=poly.total_height(),
         euler=fan.euler,
-        total_height=height,
-        size=size,
-        crepant=by_ages and by_fan,
-        crepant_by_ages=by_ages,
-        crepant_by_fan=by_fan,
-        discrepancies=discrepancies,
-        identities_ok=identities,
+        smooth_all=smooth,
+        crepant_by_ages=poly.all_ages_one(),
+        crepant_by_fan=fan.is_crepant(),
         validation=validation,
+        ms=(time.perf_counter() - t0) * 1000.0,
     )
     return report, fan, poly

@@ -12,6 +12,7 @@ All arithmetic in this module is exact integer arithmetic.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,17 @@ class _Infinity:
 #: The infinite remainder image.  Compare with ``is``.
 INFINITY = _Infinity()
 
+
+def _as_int(value: object, message: str) -> int:
+    """``operator.index(value)``, refusing bools, which Python counts as ints."""
+    if isinstance(value, bool):
+        raise ValueError(f"{message}, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{message}, got {value!r}") from None
+
+
 _FRACTION_RE = re.compile(r"^\(\s*(-?\d+(?:\s*,\s*-?\d+)+)\s*\)\s*/\s*(-?\d+)$")
 
 
@@ -57,11 +69,22 @@ class ProperFraction:
         if len(nums) < 2:
             raise ValueError("need at least two numerators")
         r = self.denominator
-        if not isinstance(r, int) or r < 1:
+        if type(r) is not int:
+            r = _as_int(r, "denominator must be a positive integer")
+            object.__setattr__(self, "denominator", r)
+        if r < 1:
             raise ValueError(f"denominator must be a positive integer, got {r!r}")
         for a in nums:
-            if not isinstance(a, int) or not 0 <= a < r:
+            if type(a) is not int or not 0 <= a < r:
+                break
+        else:
+            return
+        # slow path, off the hot loop: integer-likes such as numpy integers
+        nums = tuple(_as_int(a, "numerator must be an integer") for a in nums)
+        for a in nums:
+            if not 0 <= a < r:
                 raise ValueError(f"numerator {a!r} outside [0, {r - 1}]")
+        object.__setattr__(self, "numerators", nums)
 
     @property
     def n(self) -> int:

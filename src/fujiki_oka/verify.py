@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-import time
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,8 +23,15 @@ from itertools import product
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from .fan import Fan, GroupType, ScaledPoint, build_resolution, cone_multiplicity
-from .polynomial import RemainderPolynomial, expand
+from .fan import (
+    Fan,
+    GroupType,
+    ResolutionReport,
+    ScaledPoint,
+    build_resolution,
+    resolution_report,
+)
+from .polynomial import RemainderPolynomial
 
 # sweeping every type grows like r_max**dim; refuse silly requests unless
 # the caller explicitly opts in
@@ -182,66 +189,9 @@ def family_type(name: str, k: int) -> GroupType:
 # sweeps
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """Everything measured while resolving one group type."""
-
-    r: int
-    weights: tuple[int, ...]
-    size: int
-    height: int
-    euler: int
-    smooth_all: bool
-    crepant_by_ages: bool
-    crepant_by_fan: bool
-    identity_size_height: bool
-    identity_euler_size: bool
-    identity_euler_height: bool
-    ms: float
-
-    @property
-    def crepant(self) -> bool:
-        return self.crepant_by_ages and self.crepant_by_fan
-
-    @property
-    def gorenstein(self) -> bool:
-        return sum(self.weights) % self.r == 0
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.smooth_all
-            and self.identity_size_height
-            and self.identity_euler_size
-            and self.identity_euler_height
-            and self.crepant_by_ages == self.crepant_by_fan
-        )
-
-
-def measure_type(group: GroupType) -> SweepRecord:
-    """Resolve one type and record every invariant worth regressing on."""
-    t0 = time.perf_counter()
-    fan = build_resolution(group)
-    poly = expand(group.fraction)
-    size = poly.size()
-    height = poly.total_height()
-    ids = check_identities(fan, poly)
-    smooth = all(cone_multiplicity(c, group) == 1 for c in fan.max_cones)
-    ms = (time.perf_counter() - t0) * 1000.0
-    return SweepRecord(
-        r=group.r,
-        weights=group.weights,
-        size=size,
-        height=height,
-        euler=fan.euler,
-        smooth_all=smooth,
-        crepant_by_ages=poly.all_ages_one(),
-        crepant_by_fan=fan.is_crepant(),
-        identity_size_height=ids[0],
-        identity_euler_size=ids[1],
-        identity_euler_height=ids[2],
-        ms=ms,
-    )
+def measure_type(group: GroupType) -> ResolutionReport:
+    """Resolve one type without sampled validation: one sweep record."""
+    return resolution_report(group, validate=False)[0]
 
 
 def _weights_for(r: int, dim: int, gorenstein_only: bool):
@@ -253,7 +203,7 @@ def _weights_for(r: int, dim: int, gorenstein_only: bool):
         yield weights
 
 
-def _sweep_block(args: tuple[int, int, bool]) -> list[SweepRecord]:
+def _sweep_block(args: tuple[int, int, bool]) -> list[ResolutionReport]:
     r, dim, gorenstein_only = args
     return [
         measure_type(GroupType.from_weights(r, w))
@@ -269,14 +219,15 @@ def sweep(
     crepant_only: bool = False,
     jobs: int = 1,
     allow_large: bool = False,
-) -> list[SweepRecord]:
+) -> list[ResolutionReport]:
     """Resolve every semi-unimodular type with the given dimension and order
     range, in deterministic (r, weights) order.
 
     ``crepant_only`` filters the output; the types are still all resolved.
-    ``jobs`` distributes whole orders across processes.  Requests whose raw
-    product-space size ``r_max ** dim`` exceeds a million are refused
-    unless ``allow_large`` is set.
+    ``jobs`` distributes whole orders across processes, at most one per
+    order and per CPU.  Requests whose raw product-space size
+    ``r_max ** dim`` exceeds a million are refused unless ``allow_large``
+    is set.
     """
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
@@ -288,8 +239,10 @@ def sweep(
             "pass allow_large=True (--allow-large) if that is intentional"
         )
     blocks = [(r, dim, gorenstein_only) for r in range(r_min, r_max + 1)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts every worker at once, so never ask for idle ones
+    workers = min(jobs, len(blocks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_block, blocks))
     else:
         results = [_sweep_block(b) for b in blocks]
@@ -314,7 +267,9 @@ _CSV_COLUMNS = (
 )
 
 
-def write_sweep_csv(records: Iterable[SweepRecord], dest: str | Path | IO[str]) -> None:
+def write_sweep_csv(
+    records: Iterable[ResolutionReport], dest: str | Path | IO[str]
+) -> None:
     """Write sweep records as CSV.
 
     All columns except ``ms`` are deterministic for a given sweep; ``ms``
@@ -327,7 +282,7 @@ def write_sweep_csv(records: Iterable[SweepRecord], dest: str | Path | IO[str]) 
         _write_csv(records, dest)
 
 
-def _write_csv(records: Iterable[SweepRecord], fh: IO[str]) -> None:
+def _write_csv(records: Iterable[ResolutionReport], fh: IO[str]) -> None:
     writer = csv.writer(fh)
     writer.writerow(_CSV_COLUMNS)
     for rec in records:
@@ -352,7 +307,7 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-def summarize(records: Sequence[SweepRecord]) -> dict:
+def summarize(records: Sequence[ResolutionReport]) -> dict:
     """Aggregate counts for a sweep, plus the first few failing types."""
     failures = [rec for rec in records if not rec.ok]
     return {

@@ -71,6 +71,16 @@ class TestVerify:
         assert main(["verify", "-r", "9", "-w", "3,6"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_sample_count_below_one_is_input_error(self, samples, capsys):
+        # zero samples would test no coverage at all and still print [ok]
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "-r", "12", "-w", "1,2,7", "--samples", samples])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--samples" in captured.err
+        assert "PASS" not in captured.out
+
 
 class TestSweep:
     def test_writes_csv(self, tmp_path, capsys):
@@ -103,6 +113,15 @@ class TestFamily:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 3
         assert all(line.startswith("[ok]") for line in out)
+
+    @pytest.mark.parametrize("k_max", ["0", "-3"])
+    def test_empty_range_is_input_error(self, k_max, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["family", "plus", "--k-max", k_max])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--k-max" in captured.err
+        assert captured.out == ""
 
     def test_requires_exactly_one_selector(self, capsys):
         assert main(["family", "plus"]) == 2

@@ -19,13 +19,9 @@ from fujiki_oka import (
     cone_multiplicity,
     det_int,
     discrepancy,
-    euler_characteristic,
     expand,
-    lattice_contains,
-    primitive_in_lattice,
     resolution_report,
     star_subdivide,
-    subdivision_point,
     validate_fan,
 )
 
@@ -116,11 +112,6 @@ class TestGroupType:
         with pytest.raises(ValueError):
             g.primitive((1, 0, 0))
 
-    def test_module_level_wrappers(self):
-        g = GroupType.from_weights(12, (1, 2, 7))
-        assert lattice_contains((6, 0, 6), g)
-        assert primitive_in_lattice((2, 4, 14), g) == (1, 2, 7)
-
     def test_discrepancy_goldens(self):
         g = GroupType.from_weights(12, (1, 2, 7))
         assert discrepancy((6, 0, 6), g) == 0
@@ -137,10 +128,11 @@ class TestSubdivision:
         self.root = Cone(self.axes, self.group.fraction, ())
 
     def test_subdivision_point(self):
-        assert subdivision_point(self.root, self.group) == (1, 2, 7)
+        point, _ = star_subdivide(self.root, self.group)
+        assert point == (1, 2, 7)
 
     def test_children(self):
-        kids = star_subdivide(self.root, self.group)
+        _, kids = star_subdivide(self.root, self.group)
         assert [c.word for c in kids] == [(1,), (2,), (3,)]
         assert kids[0].generators == ((1, 2, 7), (0, 12, 0), (0, 0, 12))
         assert kids[1].generators == ((12, 0, 0), (1, 2, 7), (0, 0, 12))
@@ -152,15 +144,15 @@ class TestSubdivision:
     def test_zero_weight_slot_dropped(self):
         group = GroupType.from_weights(2, (1, 1, 0))
         axes = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
-        kids = star_subdivide(Cone(axes, group.fraction, ()), group)
+        _, kids = star_subdivide(Cone(axes, group.fraction, ()), group)
         assert [c.word for c in kids] == [(1,), (2,)]
 
     def test_multiplicity_matches_local_denominator(self):
-        for cone in star_subdivide(self.root, self.group):
+        for cone in star_subdivide(self.root, self.group)[1]:
             assert cone_multiplicity(cone, self.group) == cone.local_type.denominator
 
     def test_smooth_cone_refuses_subdivision(self):
-        kids = star_subdivide(self.root, self.group)
+        _, kids = star_subdivide(self.root, self.group)
         with pytest.raises(ValueError):
             star_subdivide(kids[0], self.group)
 
@@ -180,7 +172,7 @@ class TestBuildResolution:
         g = GroupType.from_weights(12, (1, 2, 7))
         fan = build_resolution(g)
         assert fan.euler == 8
-        assert euler_characteristic(fan) == 8
+        assert len(fan.max_cones) == 8
         assert [ray.scaled for ray in fan.rays] == [
             (12, 0, 0),
             (0, 12, 0),
@@ -377,18 +369,21 @@ class TestResolutionReport:
     def test_golden_report(self):
         g = GroupType.from_weights(12, (1, 2, 7))
         report, fan, poly = resolution_report(g, samples=200)
-        assert report.passed
+        assert report.ok
         assert report.euler == 8
         assert report.size == 8
-        assert report.total_height == -4
+        assert report.height == -4
         assert not report.crepant
         assert report.crepant_by_ages == report.crepant_by_fan == False
-        assert report.identities_ok
+        assert report.identity_size_height
+        assert report.identity_euler_size
+        assert report.identity_euler_height
         assert report.validation is not None and report.validation.passed
-        assert dict(report.discrepancies)[(6, 0, 6)] == 0
+        discrepancies = {ray.scaled: ray.discrepancy for ray in fan.rays if ray.exceptional}
+        assert discrepancies[(6, 0, 6)] == 0
 
     def test_skip_validation(self):
         g = GroupType.from_weights(5, (1, 2))
         report, _, _ = resolution_report(g, validate=False)
         assert report.validation is None
-        assert report.passed
+        assert report.ok

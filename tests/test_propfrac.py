@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -31,6 +32,30 @@ class TestConstruction:
             ProperFraction((1, 5), 5)
         with pytest.raises(ValueError):
             ProperFraction((1, -1), 5)
+
+    def test_rejects_bools(self):
+        # bool is an int subclass, but True is no residue
+        with pytest.raises(ValueError):
+            ProperFraction((True, 2), 3)
+        with pytest.raises(ValueError):
+            ProperFraction((0, 0), True)
+        with pytest.raises(ValueError):
+            ProperFraction((1, np.bool_(True)), 3)
+
+    def test_accepts_numpy_integers(self):
+        v = ProperFraction((np.int64(1), np.int32(2)), np.int64(5))
+        assert v == ProperFraction((1, 2), 5)
+        assert all(type(a) is int for a in v.numerators)
+        assert type(v.denominator) is int
+        with pytest.raises(ValueError, match="outside"):
+            ProperFraction((1, np.int64(7)), 5)
+
+    def test_rejects_non_integers(self):
+        for bad in (2.0, np.float64(2), "2"):
+            with pytest.raises(ValueError, match="integer"):
+                ProperFraction((1, bad), 5)
+        with pytest.raises(ValueError):
+            ProperFraction((1, 2), 5.0)
 
     def test_zero_element(self):
         z = ProperFraction((0, 0, 0), 1)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import fujiki_oka.verify as verify_mod
 from fujiki_oka import (
     GroupType,
     build_resolution,
@@ -158,6 +159,39 @@ class TestSweep:
         serial = sweep(dim=2, r_max=8)
         parallel = sweep(dim=2, r_max=8, jobs=2)
         assert [_strip_ms(a) for a in serial] == [_strip_ms(b) for b in parallel]
+
+    def test_pool_size_is_capped(self, monkeypatch):
+        # the pool starts all its workers at once; a fake one only records
+        # how many were asked for, so no process is ever started here
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 4)
+        huge = 10**9
+        assert len(sweep(dim=2, r_min=5, r_max=5, jobs=huge)) == 9
+        assert sizes == []  # one order runs in-process
+        serial = sweep(dim=2, r_max=8)
+        pooled = sweep(dim=2, r_max=8, jobs=huge)
+        assert [_strip_ms(a) for a in pooled] == [_strip_ms(b) for b in serial]
+        assert sizes == [4]  # seven orders, four CPUs
+        sweep(dim=2, r_min=2, r_max=4, jobs=huge)
+        assert sizes == [4, 3]  # three orders
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: None)
+        sweep(dim=2, r_max=8, jobs=huge)
+        assert sizes == [4, 3]  # CPU count unknown: in-process
 
     def test_counts(self):
         # weight tuples containing a 1: r^2 - (r-1)^2 of them per order
