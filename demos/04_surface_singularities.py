@@ -11,7 +11,13 @@ of the quadrant.
 
 import math
 
-from fujiki_oka import compare_2d, hj_evaluate, hj_expansion
+from fujiki_oka import GroupType, build_resolution, compare_2d, hj_evaluate, hj_expansion
+
+
+def surface(r, a):
+    """The subdivision fan of 1/r(1,a), compared against the classical chain."""
+    return compare_2d(build_resolution(GroupType.from_weights(r, (1, a))))
+
 
 for r, a in ((5, 2), (12, 7), (7, 6), (30, 11)):
     entries = hj_expansion(r, a)
@@ -20,7 +26,7 @@ for r, a in ((5, 2), (12, 7), (7, 6), (30, 11)):
 print()
 
 # compare for one type in detail
-result = compare_2d(12, 7)
+result = surface(12, 7)
 print(f"type 1/{result.r}(1,{result.a})")
 print(f"continued fraction: {list(result.expansion)}")
 print(f"exceptional rays:   {list(result.exceptional_rays)}")
@@ -31,7 +37,7 @@ print()
 
 # the A-series: a = r-1 gives the longest chain, all (-2)-curves
 for r in (4, 8):
-    result = compare_2d(r, r - 1)
+    result = surface(r, r - 1)
     print(f"1/{r}(1,{r - 1}): {len(result.exceptional_rays)} curves, "
           f"expansion {list(result.expansion)}, ok={result.ok}")
 print()
@@ -44,6 +50,6 @@ for r in range(2, 101):
         if math.gcd(r, a) != 1:
             continue
         checked += 1
-        if not compare_2d(r, a).ok:
+        if not surface(r, a).ok:
             bad += 1
 print(f"checked {checked} coprime types with r <= 100: {bad} disagreements")

@@ -149,7 +149,7 @@ def _checkline(ok: bool, label: str) -> bool:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     group = _group(args)
-    report, _, _ = resolution_report(group, samples=args.samples, seed=args.seed)
+    report, fan, _ = resolution_report(group, samples=args.samples, seed=args.seed)
     print(f"type {group}")
     print(f"euler {report.euler}  size {report.size}  height {report.height}")
     ok = True
@@ -169,15 +169,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"(uncovered {v.uncovered}, overlapping {v.overlapping}, gaps {v.boundary_gaps})",
     )
     ok &= _checkline(v.faces_ok, "cone pairs meet in common faces")
-    if group.n == 2:
-        r = group.r
-        a = group.weights[1] if group.weights[0] == 1 else group.weights[0]
-        if 0 < a < r:
-            cmp2 = compare_2d(r, a)
-            ok &= _checkline(
-                cmp2.ok,
-                f"matches continued fraction {list(cmp2.expansion)} and hull",
-            )
+    if group.n == 2 and 0 not in group.weights:
+        cmp2 = compare_2d(fan)
+        ok &= _checkline(
+            cmp2.ok, f"matches continued fraction {list(cmp2.expansion)} and hull"
+        )
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -14,8 +14,11 @@ Denominators strictly decrease, so the process terminates with an
 everywhere-smooth fan.
 
 No floating point enters any geometric decision.  numpy is used for bulk
-sample containment and for a conservative pair prefilter, both on machine
-integers with explicit magnitude guards and an exact fallback.
+sample containment on machine integers, with an explicit magnitude guard
+and an exact fallback.  Face compatibility is certified in linear time by
+the pseudo-manifold characterization of triangulations; the pairwise face
+check, with its conservative float prefilter, runs only when that
+certificate fails, to name the offending pairs.
 """
 
 from __future__ import annotations
@@ -348,6 +351,9 @@ class FanValidation:
     """Outcome of the independent geometric checks on a fan.
 
     Failures are recorded, never raised; ``passed`` folds them together.
+    ``faces_certified`` says which path settled the face check: True when
+    the linear-time facet certificate held, False when the pairwise check
+    ran.
     """
 
     multiplicity_ok: bool
@@ -360,6 +366,7 @@ class FanValidation:
     boundary_gaps: int
     faces_ok: bool
     bad_pairs: tuple[tuple[int, int], ...]
+    faces_certified: bool
     samples: int
     seed: int
 
@@ -376,7 +383,9 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
     3. ``samples`` pseudo-random rational points strictly inside the
        positive orthant each land in exactly one cone, or on a face shared
        by the cones containing it;
-    4. any two maximal cones intersect in a common face.
+    4. any two maximal cones intersect in a common face.  A linear-time
+       facet certificate proves this for the whole fan at once; only when
+       it fails does the pairwise check run, to name the bad pairs.
 
     The sample stream is drawn from a seeded generator, so results are
     reproducible; the same seed always tests the same points.
@@ -398,7 +407,8 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
     normals = [_cofactor_rows(c.generators)[1] for c in fan.max_cones]
 
     uncovered, overlapping, gaps = _check_coverage(fan, normals, samples, seed)
-    bad_pairs = _check_faces(fan, normals)
+    certified = _facets_certified(fan, normals)
+    bad_pairs = [] if certified else _check_faces(fan, normals)
 
     return FanValidation(
         multiplicity_ok=not bad_mults,
@@ -411,6 +421,7 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
         boundary_gaps=gaps,
         faces_ok=not bad_pairs,
         bad_pairs=tuple(bad_pairs),
+        faces_certified=certified,
         samples=samples,
         seed=seed,
     )
@@ -456,6 +467,60 @@ def _check_coverage(
         elif cov >= 2 and stc >= 1:
             overlapping += 1
     return uncovered, overlapping, gaps
+
+
+def _facets_certified(fan: Fan, normals: list) -> bool:
+    """Exact proof that the maximal cones triangulate the positive orthant.
+
+    The pseudo-manifold characterization of triangulations (De Loera,
+    Rambau, Santos, *Triangulations*, ch. 4), in cone form.  It holds when
+
+    * every generator is nonnegative;
+    * every facet, keyed by its set of generators, belongs to one cone or
+      two;
+    * a facet of one cone lies in a coordinate hyperplane;
+    * the two cones of a shared facet lie on opposite sides of it: the
+      cofactor row ``u`` opposite generator k of the first cone has
+      ``u . g_k = |det| > 0``, so the second cone's opposite generator
+      must give ``u . x < 0``;
+    * the sum of cone 0's generators lies in no other closed cone.
+
+    Nonnegative generators keep every cone in the orthant and the witness
+    in its interior.  The number of cones whose interior holds a point is
+    then the same on the whole open orthant (crossing a shared facet leaves
+    one cone and enters the other; unshared facets lie on the orthant's
+    boundary), the witness makes it 1, and any two cones meet in a common
+    face.  False proves nothing; the pairwise check then decides.
+    O(cones * n) hash lookups and exact dot products, reusing the cofactor
+    rows.
+    """
+    cones = fan.max_cones
+    if not cones:
+        return False
+    n = fan.group.n
+    if any(v < 0 for cone in cones for g in cone.generators for v in g):
+        return False
+
+    owners: dict[frozenset, list[tuple[int, int]]] = {}
+    for i, cone in enumerate(cones):
+        gens = cone.generators
+        for k in range(n):
+            owners.setdefault(frozenset(gens[:k] + gens[k + 1 :]), []).append((i, k))
+    for facet, held in owners.items():
+        if len(held) == 1:
+            if not any(all(g[c] == 0 for g in facet) for c in range(n)):
+                return False
+        elif len(held) == 2:
+            (i, k), (j, m) = held
+            if _dot(normals[i][k], cones[j].generators[m]) >= 0:
+                return False
+        else:
+            return False
+
+    witness = [sum(col) for col in zip(*cones[0].generators)]
+    return not any(
+        all(_dot(u, witness) >= 0 for u in rows) for rows in normals[1:]
+    )
 
 
 def _check_faces(fan: Fan, normals: list) -> list[tuple[int, int]]:

@@ -28,7 +28,6 @@ from .fan import (
     GroupType,
     ResolutionReport,
     ScaledPoint,
-    build_resolution,
     resolution_report,
 )
 from .polynomial import RemainderPolynomial
@@ -134,18 +133,30 @@ class Comparison2D:
         )
 
 
-def compare_2d(r: int, a: int) -> Comparison2D:
-    """Resolve 1/r(1, a) and compare against continued fractions and hulls.
+def compare_2d(fan: Fan) -> Comparison2D:
+    """Compare the fan of 1/r(1, a) against continued fractions and hulls.
 
     Checks that the number of exceptional rays equals the expansion length,
     that the Euler characteristic exceeds it by one, that every exceptional
     ray sits on the lower convex hull of the nonzero lattice points of the
-    quadrant, and that the expansion folds back to r/a.
+    quadrant, and that the expansion folds back to r/a.  The fan may come
+    from either weight order, 1/r(1, a) or 1/r(a, 1); rays are compared in
+    unit-first coordinates.  Raises ``ValueError`` unless the fan is
+    two-dimensional with 0 < a < r and gcd(r, a) = 1.
     """
+    group = fan.group
+    if group.n != 2:
+        raise ValueError(f"need a two-dimensional type, got {group}")
+    r = group.r
+    first, second = group.weights
+    unit_first = first == 1
+    a = second if unit_first else first
     expansion = hj_expansion(r, a)
-    group = GroupType.from_weights(r, (1, a))
-    fan = build_resolution(group)
-    rays = tuple(ray.scaled for ray in fan.rays if ray.exceptional)
+    rays = tuple(
+        ray.scaled if unit_first else ray.scaled[::-1]
+        for ray in fan.rays
+        if ray.exceptional
+    )
 
     candidates = [(0, r)] + [(x, (a * x) % r) for x in range(1, r)] + [(r, 0)]
     hull = _lower_hull(candidates)

@@ -193,7 +193,8 @@ def test_criterion_08_surface_oracle():
             if math.gcd(r, a) != 1:
                 continue
             checked += 1
-            if not compare_2d(r, a).ok:
+            fan = build_resolution(GroupType.from_weights(r, (1, a)))
+            if not compare_2d(fan).ok:
                 bad.append((r, a))
     elapsed = time.perf_counter() - t0
     _report(

@@ -6,7 +6,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+import hypothesis.strategies as st
+from hypothesis import assume, given, settings
 
 import fujiki_oka.fan as fan_mod
 from conftest import all_semi_unimodular, semi_unimodular_fractions
@@ -268,6 +269,7 @@ class TestValidateFan:
         assert v.passed
         assert v.multiplicity_ok and v.rays_ok and v.coverage_ok and v.faces_ok
         assert (v.uncovered, v.overlapping, v.boundary_gaps) == (0, 0, 0)
+        assert v.faces_certified
 
     def test_deterministic_for_fixed_seed(self):
         fan = self.golden()
@@ -281,6 +283,7 @@ class TestValidateFan:
         assert not v.passed
         assert v.uncovered > 0
         assert not v.coverage_ok
+        assert not v.faces_certified
 
     def test_detects_duplicate_cone(self):
         fan = self.golden()
@@ -290,6 +293,7 @@ class TestValidateFan:
         assert not v.coverage_ok
         # a cone is trivially a face of itself, so the pair check stays clean
         assert v.faces_ok
+        assert not v.faces_certified
 
     def test_detects_non_primitive_ray(self):
         fan = self.golden()
@@ -319,6 +323,7 @@ class TestValidateFan:
         assert v.overlapping > 0
         assert not v.faces_ok
         assert v.bad_pairs == ((0, 1),)
+        assert not v.faces_certified
 
     def test_detects_wall_mismatch(self):
         # both cones smooth, union misses part of the orthant, and their
@@ -334,11 +339,130 @@ class TestValidateFan:
         v = validate_fan(broken)
         assert not v.faces_ok
         assert v.bad_pairs == ((0, 1),)
+        assert not v.faces_certified
+
+    def test_detects_folded_cones(self):
+        # the witness lies in one cone and every facet belongs to at most two
+        # cones, but the cones sharing the walls at (1,3) and (4,2) both lie
+        # on the same side of them
+        g = GroupType.from_weights(2, (1, 1))
+        a, b, c, d, e = (2, 0), (3, 1), (4, 2), (1, 3), (0, 2)
+        cones = tuple(
+            Cone(gens, g.fraction, (9,)) for gens in ((a, b), (b, d), (c, d), (c, e))
+        )
+        fan = replace(build_resolution(g), max_cones=cones)
+        v = validate_fan(fan)
+        assert not v.faces_certified
+        assert v.bad_pairs == ((1, 2), (1, 3), (2, 3))
+
+    def test_detects_second_layer(self):
+        # a second copy of the quadrant on longer axis generators shares no
+        # facet with the resolution; only the witness sees it
+        g = GroupType.from_weights(2, (1, 1))
+        fan = build_resolution(g)
+        layer = Cone(((4, 0), (0, 4)), g.fraction, (9,))
+        v = validate_fan(replace(fan, max_cones=fan.max_cones + (layer,)))
+        assert not v.faces_certified
+        assert v.bad_pairs == ((0, 2), (1, 2))
+
+    def test_detects_third_cone_on_a_wall(self):
+        # the extra cone's other facet lies on the axis and the witness
+        # (1,3) misses it, so only the count of cones on the wall at (1,1)
+        # sees it
+        g = GroupType.from_weights(2, (1, 1))
+        fan = build_resolution(g)
+        assert fan.max_cones[1].generators == ((2, 0), (1, 1))
+        third = Cone(((4, 0), (1, 1)), g.fraction, (9,))
+        v = validate_fan(replace(fan, max_cones=fan.max_cones + (third,)))
+        assert not v.faces_certified
+        assert v.bad_pairs == ((1, 2),)
+
+    def test_detects_layers_outside_the_orthant(self):
+        # every facet of the two extra cones is unshared and lies in a
+        # coordinate hyperplane, and the witness misses them, but they
+        # overlap each other outside the orthant the samples are drawn from
+        fan = self.golden()
+        layers = tuple(
+            Cone(((-k, 0, 0), (0, -k, 0), (0, 0, -k)), fan.group.fraction, (9,))
+            for k in (12, 24)
+        )
+        v = validate_fan(replace(fan, max_cones=fan.max_cones + layers))
+        assert not v.faces_certified
+        assert not v.faces_ok
+        assert v.bad_pairs == ((8, 9),)
+
+    @pytest.mark.parametrize(
+        "r, weights, euler", [(3001, (1, 2, 2998), 3001), (101, (1, 2, 3, 95), 233)]
+    )
+    def test_large_fans_are_certified(self, r, weights, euler):
+        fan = build_resolution(GroupType.from_weights(r, weights))
+        assert fan.euler == euler
+        v = validate_fan(fan)
+        assert v.passed
+        assert v.faces_certified
 
     def test_sample_count_respected(self):
         v = validate_fan(self.golden(), samples=64, seed=3)
         assert v.samples == 64
         assert v.passed
+
+
+def face_normals(fan):
+    return [fan_mod._cofactor_rows(c.generators)[1] for c in fan.max_cones]
+
+
+@st.composite
+def perturbed_fans(draw):
+    """A resolution with one cone dropped, doubled, moved to the front, its
+    generators permuted, or one generator g swapped for g + w, where w is
+    another generator of the cone or the group generator."""
+    group = GroupType(draw(semi_unimodular_fractions(max_n=4, max_r=12)))
+    fan = build_resolution(group)
+    cones = list(fan.max_cones)
+    idx = draw(st.integers(0, len(cones) - 1))
+    cone = cones[idx]
+    kind = draw(st.sampled_from(["drop", "double", "front", "permute", "swap"]))
+    if kind == "drop":
+        del cones[idx]
+    elif kind == "double":
+        cones.insert(draw(st.integers(0, len(cones))), cone)
+    elif kind == "front":
+        cones.insert(0, cones.pop(idx))
+    else:
+        gens = list(cone.generators)
+        if kind == "permute":
+            gens = draw(st.permutations(gens))
+        else:
+            k = draw(st.integers(0, len(gens) - 1))
+            w = draw(st.sampled_from(gens[:k] + gens[k + 1 :] + [group.weights]))
+            gens[k] = tuple(a + b for a, b in zip(gens[k], w))
+        cones[idx] = replace(cone, generators=tuple(gens))
+    return kind, replace(fan, max_cones=tuple(cones))
+
+
+class TestFacetCertificate:
+    def test_every_small_resolution_is_certified(self):
+        for n, r_max in ((2, 40), (3, 12), (4, 5)):
+            for r in range(2, r_max + 1):
+                for v in all_semi_unimodular(n, r):
+                    fan = build_resolution(GroupType(v))
+                    normals = face_normals(fan)
+                    assert fan_mod._facets_certified(fan, normals), v
+                    assert fan_mod._check_faces(fan, normals) == [], v
+
+    @settings(max_examples=150, deadline=None)
+    @given(perturbed_fans())
+    def test_certificate_never_accepts_a_bad_pair(self, case):
+        kind, fan = case
+        try:
+            normals = face_normals(fan)
+        except ValueError:
+            assume(False)  # a swap flattened the cone
+        certified = fan_mod._facets_certified(fan, normals)
+        if certified:
+            assert fan_mod._check_faces(fan, normals) == []
+        if kind in ("front", "permute"):
+            assert certified
 
 
 class TestExactHelpers:

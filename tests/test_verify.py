@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import fujiki_oka.cli as cli_mod
+import fujiki_oka.fan as fan_mod
 import fujiki_oka.verify as verify_mod
 from fujiki_oka import (
     GroupType,
@@ -62,15 +64,19 @@ class TestContinuedFractions:
             hj_evaluate([])
 
 
+def surface(r, weights):
+    return compare_2d(build_resolution(GroupType.from_weights(r, weights)))
+
+
 class TestCompare2D:
     def test_golden_5_2(self):
-        cmp2 = compare_2d(5, 2)
+        cmp2 = surface(5, (1, 2))
         assert cmp2.ok
         assert cmp2.expansion == (3, 2)
         assert cmp2.exceptional_rays == ((1, 2), (3, 1))
 
     def test_golden_12_7(self):
-        cmp2 = compare_2d(12, 7)
+        cmp2 = surface(12, (1, 7))
         assert cmp2.ok
         assert cmp2.expansion == (2, 4, 2)
         assert len(cmp2.exceptional_rays) == 3
@@ -80,12 +86,61 @@ class TestCompare2D:
             for a in range(1, r):
                 if math.gcd(r, a) != 1:
                     continue
-                result = compare_2d(r, a)
+                result = surface(r, (1, a))
                 assert result.ok, f"disagreement at r={r}, a={a}: {result}"
+
+    def test_unit_last_compares_in_unit_first_coordinates(self):
+        for r in range(2, 31):
+            for a in range(1, r):
+                if math.gcd(r, a) != 1:
+                    continue
+                first, last = surface(r, (1, a)), surface(r, (a, 1))
+                assert last.ok, f"disagreement at r={r}, weights ({a},1): {last}"
+                assert (last.r, last.a, last.expansion) == (r, a, first.expansion)
+                assert sorted(last.exceptional_rays) == sorted(first.exceptional_rays)
 
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
-            compare_2d(8, 2)
+            surface(8, (1, 2))
+        with pytest.raises(ValueError):
+            surface(8, (2, 1))
+
+    def test_rejects_other_dimensions(self):
+        with pytest.raises(ValueError):
+            surface(12, (1, 2, 7))
+
+
+VERIFY_12_7 = """\
+type 1/12({weights})
+euler 4  size 4  height -8
+[ok] size = height + r
+[ok] euler = size
+[ok] euler = height + r
+[ok] crepancy criteria agree (not crepant)
+[ok] multiplicities all 1
+[ok] rays primitive in the lattice
+[ok] coverage clean on 1000 samples (uncovered 0, overlapping 0, gaps 0)
+[ok] cone pairs meet in common faces
+[ok] matches continued fraction [2, 4, 2] and hull
+PASS
+"""
+
+
+@pytest.mark.parametrize("weights", ["1,7", "7,1"])
+def test_verify_2d_resolves_once(monkeypatch, capsys, weights):
+    calls = []
+    real = fan_mod.build_resolution
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (fan_mod, verify_mod, cli_mod):
+        if hasattr(mod, "build_resolution"):
+            monkeypatch.setattr(mod, "build_resolution", counted)
+    assert cli_mod.main(["verify", "-r", "12", "-w", weights]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == VERIFY_12_7.format(weights=weights)
 
 
 class TestFamilies:
