@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-min", type=int, default=2, help="smallest order")
     p.add_argument("--gorenstein", action="store_true", help="weight sums divisible by r only")
     p.add_argument("--crepant-only", action="store_true", help="report crepant types only")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     p.add_argument("--csv", metavar="PATH", help="write records as CSV")
     p.add_argument("--allow-large", action="store_true", help="lift the size cap")
 

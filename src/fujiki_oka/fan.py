@@ -13,12 +13,12 @@ the cone still carries) and hands each child the matching remainder image.
 Denominators strictly decrease, so the process terminates with an
 everywhere-smooth fan.
 
-No floating point enters any geometric decision.  numpy is used for bulk
-sample containment on machine integers, with an explicit magnitude guard
-and an exact fallback.  Face compatibility is certified in linear time by
-the pseudo-manifold characterization of triangulations; the pairwise face
-check, with its conservative float prefilter, runs only when that
-certificate fails, to name the offending pairs.
+No floating point enters any geometric decision.  Validation settles
+coverage and faces on the cofactor rows of the maximal cones: samples by
+one numpy matmul (int64 while a magnitude guard says the products fit,
+Python ints past it), faces by a linear-time pseudo-manifold certificate,
+or, when it fails, by the pairwise check in integers behind a conservative
+float prefilter, which names the offending pairs.
 """
 
 from __future__ import annotations
@@ -77,25 +77,17 @@ def _cofactor_rows(gens: tuple[ScaledPoint, ...]) -> tuple[int, list[tuple[int, 
 
     Row i of the result pairs with generator i: ``u_i . g_j = |det| * delta_ij``,
     so the sign pattern of ``u_i . p`` over i gives the barycentric signs of p.
+    Row i is the signed null direction of the other generators.
     """
-    base = [list(g) for g in gens]
-    n = len(base)
-    d = det_int(base)
+    d = det_int([list(g) for g in gens])
     if d == 0:
         raise ValueError("generators are linearly dependent")
-    s = 1 if d > 0 else -1
+    n = len(gens)
     rows = []
     for i in range(n):
-        row = []
-        for k in range(n):
-            minor = [
-                [base[a][b] for b in range(n) if b != k] for a in range(n) if a != i
-            ]
-            c = det_int(minor) if minor else 1
-            if (i + k) % 2:
-                c = -c
-            row.append(s * c)
-        rows.append(tuple(row))
+        sign = 1 if (d > 0) == (i % 2 == 0) else -1
+        direction = _null_direction(gens[:i] + gens[i + 1 :], n)
+        rows.append(tuple([sign * c for c in direction]))
     return abs(d), rows
 
 
@@ -313,8 +305,11 @@ def build_resolution(group: GroupType, max_depth: int | None = None) -> Fan:
     ``max_depth`` caps the word length, leaving a partially subdivided fan
     whose leaves may still be singular; the default resolves completely.
     Iterative worklist, depth-first with children in index order, so the
-    output ordering is reproducible.
+    output ordering is reproducible.  A negative ``max_depth`` raises
+    ``ValueError``.
     """
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be at least 0, got {max_depth}")
     r, n = group.r, group.n
     axes = tuple(tuple(r if j == i else 0 for j in range(n)) for i in range(n))
     creation: list[ScaledPoint] = list(axes)
@@ -350,7 +345,9 @@ def build_resolution(group: GroupType, max_depth: int | None = None) -> Fan:
 class FanValidation:
     """Outcome of the independent geometric checks on a fan.
 
-    Failures are recorded, never raised; ``passed`` folds them together.
+    Failures are recorded, never raised, for maximal cones that are
+    full-dimensional on lattice generators (``validate_fan`` raises
+    ``ValueError`` on any other); ``passed`` folds them together.
     ``faces_certified`` says which path settled the face check: True when
     the linear-time facet certificate held, False when the pairwise check
     ran.
@@ -388,7 +385,10 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
        it fails does the pairwise check run, to name the bad pairs.
 
     The sample stream is drawn from a seeded generator, so results are
-    reproducible; the same seed always tests the same points.
+    reproducible; the same seed always tests the same points.  A maximal
+    cone on linearly dependent generators (two equal ones, say), or whose
+    determinant r^(n-1) does not divide (a generator outside the lattice),
+    raises ``ValueError``.
     """
     group = fan.group
 
@@ -436,36 +436,18 @@ def _check_coverage(
     rng = np.random.default_rng(seed)
     pts = rng.integers(1, _SAMPLE_SPAN + 1, size=(n, samples), dtype=np.int64)
 
+    # int64 is exact while the products fit; past that, Python ints
     max_normal = max((abs(v) for rows in normals for u in rows for v in u), default=0)
-    if max_normal * _SAMPLE_SPAN * n < 2**62:
-        mat = np.array(normals, dtype=np.int64)  # (cones, n, n)
-        lam = mat @ pts  # exact: magnitudes guarded above
-        covered = (lam >= 0).all(axis=1)
-        strict = (lam > 0).all(axis=1)
-        cov = covered.sum(axis=0)
-        stc = strict.sum(axis=0)
-        uncovered = int((cov == 0).sum())
-        overlapping = int(((cov >= 2) & (stc >= 1)).sum())
-        gaps = int(((cov == 1) & (stc == 0)).sum())
-        return uncovered, overlapping, gaps
-
-    # fallback for coordinates too large for machine integers
-    uncovered = overlapping = gaps = 0
-    cols = [tuple(int(pts[i, j]) for i in range(n)) for j in range(samples)]
-    for p in cols:
-        cov = stc = 0
-        for rows in normals:
-            dots = [sum(u[i] * p[i] for i in range(n)) for u in rows]
-            if all(d >= 0 for d in dots):
-                cov += 1
-                if all(d > 0 for d in dots):
-                    stc += 1
-        if cov == 0:
-            uncovered += 1
-        elif cov == 1 and stc == 0:
-            gaps += 1
-        elif cov >= 2 and stc >= 1:
-            overlapping += 1
+    dtype = np.int64 if max_normal * _SAMPLE_SPAN * n < 2**62 else object
+    mat = np.array(normals, dtype=dtype)  # (cones, n, n)
+    lam = mat @ pts.astype(dtype)
+    covered = (lam >= 0).all(axis=1)
+    strict = (lam > 0).all(axis=1)
+    cov = covered.sum(axis=0)
+    stc = strict.sum(axis=0)
+    uncovered = int((cov == 0).sum())
+    overlapping = int(((cov >= 2) & (stc >= 1)).sum())
+    gaps = int(((cov == 1) & (stc == 0)).sum())
     return uncovered, overlapping, gaps
 
 
@@ -574,18 +556,22 @@ def _pair_face_ok(gens_c, gens_d, normals_c, normals_d, shared, n) -> bool:
 
 
 def _pair_face_enumerate(gens_c, gens_d, normals_c, normals_d, shared, n) -> bool:
-    # complete check: every extreme ray of the intersection cone must be a
-    # nonnegative combination of the shared generators.  Extreme rays of a
-    # pointed cone cut from 2n halfspaces have n-1 independent active
-    # constraints, so enumerating (n-1)-subsets of the rows finds them all.
+    # complete check: every extreme ray of the intersection cone must lie in
+    # the cone on the shared generators.  Extreme rays of a pointed cone cut
+    # from 2n halfspaces have n-1 independent active constraints, so
+    # enumerating (n-1)-subsets of the rows finds them all.  A ray in C has
+    # barycentric coordinates u_k . x >= 0 on C's generators, so it lies in
+    # the shared face exactly when those of the unshared generators vanish.
     rows = list(normals_c) + list(normals_d)
+    shared_set = set(shared)
+    unshared = [u for u, g in zip(normals_c, gens_c) if g not in shared_set]
     for subset in combinations(range(len(rows)), n - 1):
         direction = _null_direction([rows[s] for s in subset], n)
         if direction is None:
             continue
         for cand in (direction, tuple(-v for v in direction)):
             if all(_dot(row, cand) >= 0 for row in rows):
-                if not _nonneg_combination(cand, shared):
+                if any(_dot(u, cand) for u in unshared):
                     return False
     return True
 
@@ -602,49 +588,8 @@ def _null_direction(vs, n):
     for k in range(n):
         minor = [[v[b] for b in range(n) if b != k] for v in vs]
         d = det_int(minor) if minor else 1
-        if k % 2:
-            d = -d
-        comps.append(d)
-    if all(c == 0 for c in comps):
-        return None
-    return tuple(comps)
-
-
-def _nonneg_combination(point, gens) -> bool:
-    """Exact test: is ``point`` a nonnegative combination of ``gens``?
-
-    The generators are linearly independent (they come from a simplicial
-    cone), so plain Gaussian elimination over Fraction settles it.
-    """
-    if not gens:
-        return all(v == 0 for v in point)
-    n = len(point)
-    m = len(gens)
-    aug = [[Fraction(gens[j][i]) for j in range(m)] + [Fraction(point[i])] for i in range(n)]
-    row = 0
-    pivots = []
-    for col in range(m):
-        sel = next((k for k in range(row, n) if aug[k][col] != 0), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        aug[row] = [v / pv for v in aug[row]]
-        for k in range(n):
-            if k != row and aug[k][col] != 0:
-                f = aug[k][col]
-                aug[k] = [a - f * b for a, b in zip(aug[k], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    for k in range(row, n):
-        if aug[k][m] != 0:
-            return False
-    coeffs = [Fraction(0)] * m
-    for k, col in enumerate(pivots):
-        coeffs[col] = aug[k][m]
-    return all(v >= 0 for v in coeffs)
+        comps.append(-d if k % 2 else d)
+    return tuple(comps) if any(comps) else None
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,17 @@ class TestResolve:
         assert "maximal cones 3" in out
         assert "smooth no" in out
 
+    def test_max_depth_zero_is_the_orthant(self, capsys):
+        assert main(["resolve", "-r", "12", "-w", "1,2,7", "--max-depth", "0"]) == 0
+        assert "maximal cones 1" in capsys.readouterr().out
+
+    def test_negative_max_depth_is_input_error(self, capsys):
+        # it would print the unsubdivided orthant as if it were asked for
+        assert main(["resolve", "-r", "12", "-w", "1,2,7", "--max-depth", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "max_depth" in captured.err
+        assert captured.out == ""
+
 
 class TestVerify:
     def test_passes(self, capsys):
@@ -95,6 +106,16 @@ class TestSweep:
     def test_cap_is_enforced(self, capsys):
         assert main(["sweep", "--dim", "3", "--r-max", "200"]) == 2
         assert "allow_large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_is_input_error(self, jobs, capsys):
+        # it would run serially and exit 0 as if the value were valid
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--dim", "2", "--r-max", "6", "--jobs", jobs])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--jobs" in captured.err
+        assert captured.out == ""
 
     def test_gorenstein_flag(self, capsys):
         assert main(["sweep", "--dim", "3", "--r-max", "6", "--gorenstein"]) == 0

@@ -224,6 +224,11 @@ class TestBuildResolution:
         mults = [cone_multiplicity(c, g) for c in fan.max_cones]
         assert mults == [1, 2, 7]
 
+    def test_negative_max_depth_rejected(self):
+        g = GroupType.from_weights(12, (1, 2, 7))
+        with pytest.raises(ValueError, match="max_depth"):
+            build_resolution(g, max_depth=-1)
+
     def test_quasi_reflection_direction(self):
         # a zero weight pushes the new ray onto a coordinate axis; the axis
         # ray it replaces is shorter than r*e_i and counts as exceptional
@@ -406,9 +411,66 @@ class TestValidateFan:
         assert v.samples == 64
         assert v.passed
 
+    def test_malformed_cones_raise(self):
+        # a flat cone has no multiplicity, and a determinant r^(n-1) does
+        # not divide puts a generator outside the lattice: both are errors
+        # in the input, not failed checks
+        fan = self.golden()
+        a, b, _ = fan.max_cones[0].generators
+        flat = replace(fan.max_cones[0], generators=(a, b, b))
+        with pytest.raises(ValueError, match="degenerate"):
+            validate_fan(replace(fan, max_cones=(flat,) + fan.max_cones[1:]))
+        g = GroupType.from_weights(4, (1, 1))
+        alien = Cone(((3, 0), (0, 3)), g.fraction, ())
+        with pytest.raises(ValueError, match="divisible"):
+            validate_fan(replace(build_resolution(g), max_cones=(alien,)))
+
 
 def face_normals(fan):
     return [fan_mod._cofactor_rows(c.generators)[1] for c in fan.max_cones]
+
+
+def coverage_counts(fan, scale=1):
+    normals = [
+        [tuple(scale * v for v in u) for u in rows] for rows in face_normals(fan)
+    ]
+    return fan_mod._check_coverage(fan, normals, 1000, fan_mod.DEFAULT_SEED)
+
+
+def takes_exact_coverage(fan, scale=1):
+    biggest = max(abs(v) for rows in face_normals(fan) for u in rows for v in u)
+    return scale * biggest * fan_mod._SAMPLE_SPAN * fan.group.n >= 2**62
+
+
+class TestExactCoverage:
+    """Coverage counts on Python ints, past the int64 magnitude guard."""
+
+    def test_scaled_rows_give_the_same_counts(self):
+        # scaling a cone's cofactor rows keeps every sign, so the counts
+        # must not change when the scale pushes them onto Python ints
+        fan = TestValidateFan().golden()
+        fans = [
+            fan,
+            replace(fan, max_cones=fan.max_cones[1:]),
+            replace(fan, max_cones=fan.max_cones + fan.max_cones[:2]),
+        ]
+        counts = [coverage_counts(f) for f in fans]
+        assert counts[0] == (0, 0, 0)
+        assert counts[1][0] > 0 and counts[2][1] > 0
+        for f, expected in zip(fans, counts):
+            assert not takes_exact_coverage(f)
+            assert takes_exact_coverage(f, 2**45)
+            assert coverage_counts(f, 2**45) == expected
+
+    def test_large_order_fan(self):
+        group = GroupType.from_weights(10**7, (1, 2, 3))
+        fan = build_resolution(group, max_depth=1)
+        assert takes_exact_coverage(fan)
+        v = validate_fan(fan)
+        assert (v.uncovered, v.overlapping, v.boundary_gaps) == (0, 0, 0)
+        dropped = validate_fan(replace(fan, max_cones=fan.max_cones[1:]))
+        assert dropped.uncovered > 0
+        assert not dropped.coverage_ok
 
 
 @st.composite
@@ -466,14 +528,6 @@ class TestFacetCertificate:
 
 
 class TestExactHelpers:
-    def test_nonneg_combination(self):
-        assert fan_mod._nonneg_combination((3, 3), ((1, 0), (1, 3)))
-        assert not fan_mod._nonneg_combination((-1, 0), ((1, 0), (1, 3)))
-        assert fan_mod._nonneg_combination((0, 0), ())
-        assert not fan_mod._nonneg_combination((1, 0), ())
-        assert fan_mod._nonneg_combination((2, 4, 2), ((1, 2, 1),))
-        assert not fan_mod._nonneg_combination((1, 2, 0), ((1, 2, 1),))
-
     def test_cofactor_rows_are_scaled_inverse(self):
         gens = ((12, 0, 0), (1, 2, 7), (0, 0, 12))
         absdet, rows = fan_mod._cofactor_rows(gens)
