@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 a check failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .fan import DEFAULT_SEED, GroupType, build_resolution, resolution_report
@@ -169,7 +170,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"(uncovered {v.uncovered}, overlapping {v.overlapping}, gaps {v.boundary_gaps})",
     )
     ok &= _checkline(v.faces_ok, "cone pairs meet in common faces")
-    if group.n == 2 and 0 not in group.weights:
+    # r/a has a continued fraction only for a coprime to r; the other
+    # weight is 1, so the product of the weights stands for a
+    if group.n == 2 and math.gcd(group.r, math.prod(group.weights)) == 1:
         cmp2 = compare_2d(fan)
         ok &= _checkline(
             cmp2.ok, f"matches continued fraction {list(cmp2.expansion)} and hull"
@@ -226,22 +229,18 @@ def _cmd_export(args: argparse.Namespace) -> int:
     group = _group(args)
     fan = build_resolution(group)
     poly = expand(group.fraction)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(fan_json_text(fan, poly))
-        print(f"wrote {args.json}")
-    if args.poly:
-        with open(args.poly, "w") as fh:
-            fh.write(polynomial_json_text(poly))
-        print(f"wrote {args.poly}")
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(fan_to_svg(fan))
-        print(f"wrote {args.svg}")
-    if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(subdivision_tree_dot(fan))
-        print(f"wrote {args.dot}")
+    # render everything before opening any file, so bad input writes nothing
+    renderers = (
+        (args.json, lambda: fan_json_text(fan, poly)),
+        (args.poly, lambda: polynomial_json_text(poly)),
+        (args.svg, lambda: fan_to_svg(fan)),
+        (args.dot, lambda: subdivision_tree_dot(fan)),
+    )
+    texts = [(path, render()) for path, render in renderers if path]
+    for path, text in texts:
+        with open(path, "w") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
     return 0
 
 

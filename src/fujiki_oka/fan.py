@@ -17,8 +17,8 @@ No floating point enters any geometric decision.  Validation settles
 coverage and faces on the cofactor rows of the maximal cones: samples by
 one numpy matmul (int64 while a magnitude guard says the products fit,
 Python ints past it), faces by a linear-time pseudo-manifold certificate,
-or, when it fails, by the pairwise check in integers behind a conservative
-float prefilter, which names the offending pairs.
+or, when it fails, by the pairwise check in integers, which names the
+offending pairs.
 """
 
 from __future__ import annotations
@@ -507,51 +507,33 @@ def _facets_certified(fan: Fan, normals: list) -> bool:
 
 def _check_faces(fan: Fan, normals: list) -> list[tuple[int, int]]:
     cones = fan.max_cones
-    count = len(cones)
-    if count <= 1:
-        return []
     n = fan.group.n
-
-    # conservative prefilter: bounding boxes of the barycentric cross-sections,
-    # padded so rounding can only keep extra pairs, never drop a touching one
-    lo = np.empty((count, n))
-    hi = np.empty((count, n))
-    for idx, cone in enumerate(cones):
-        coords = np.array(cone.generators, dtype=float)
-        coords /= coords.sum(axis=1, keepdims=True)
-        lo[idx] = coords.min(axis=0) - 1e-9
-        hi[idx] = coords.max(axis=0) + 1e-9
-    meets = (lo[:, None, :] <= hi[None, :, :]).all(axis=2)
-    meets &= meets.T
-
     gen_sets = [set(c.generators) for c in cones]
     bad = []
-    for i in range(count):
-        row = meets[i]
-        gens_i = cones[i].generators
-        for j in range(i + 1, count):
-            if not row[j]:
-                continue
-            shared = tuple(g for g in gens_i if g in gen_sets[j])
-            gens_j = cones[j].generators
-            if not _pair_face_ok(gens_i, gens_j, normals[i], normals[j], shared, n):
-                bad.append((i, j))
+    for i, j in combinations(range(len(cones)), 2):
+        shared = gen_sets[i] & gen_sets[j]
+        gens_i, gens_j = cones[i].generators, cones[j].generators
+        if not _pair_face_ok(gens_i, gens_j, normals[i], normals[j], shared, n):
+            bad.append((i, j))
     return bad
 
 
 def _pair_face_ok(gens_c, gens_d, normals_c, normals_d, shared, n) -> bool:
-    # fast path: one of the precomputed facet normals already separates the
-    # cones and pinches the intersection down to the shared generators
-    shared_set = set(shared)
-    for u in list(normals_c) + list(normals_d):
-        dc = [_dot(u, g) for g in gens_c]
-        dd = [_dot(u, g) for g in gens_d]
-        for flip in (1, -1):
-            if all(flip * v >= 0 for v in dc) and all(flip * v <= 0 for v in dd):
-                zc = {g for g, v in zip(gens_c, dc) if v == 0}
-                zd = {g for g, v in zip(gens_d, dd) if v == 0}
-                if zc == shared_set or zd == shared_set:
-                    return True
+    # fast path: a facet normal of one cone that weakly separates the other
+    # and pinches the intersection down to the shared generators.  The rows
+    # must be cofactor rows, u_k . g_m = |det| * delta_km on their own cone:
+    # row k is zero there exactly off g_k and positive on g_k, so only its
+    # dots with the other cone need computing, and only one orientation can
+    # separate.
+    for own, other, rows in ((gens_c, gens_d, normals_c), (gens_d, gens_c, normals_d)):
+        for k, u in enumerate(rows):
+            dots = [_dot(u, g) for g in other]
+            if any(v > 0 for v in dots):
+                continue
+            if set(own[:k] + own[k + 1 :]) == shared:
+                return True
+            if {g for g, v in zip(other, dots) if v == 0} == shared:
+                return True
     return _pair_face_enumerate(gens_c, gens_d, normals_c, normals_d, shared, n)
 
 
@@ -563,8 +545,7 @@ def _pair_face_enumerate(gens_c, gens_d, normals_c, normals_d, shared, n) -> boo
     # barycentric coordinates u_k . x >= 0 on C's generators, so it lies in
     # the shared face exactly when those of the unshared generators vanish.
     rows = list(normals_c) + list(normals_d)
-    shared_set = set(shared)
-    unshared = [u for u, g in zip(normals_c, gens_c) if g not in shared_set]
+    unshared = [u for u, g in zip(normals_c, gens_c) if g not in shared]
     for subset in combinations(range(len(rows)), n - 1):
         direction = _null_direction([rows[s] for s in subset], n)
         if direction is None:

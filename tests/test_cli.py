@@ -78,6 +78,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "continued fraction [2, 4, 2]" in out
 
+    @pytest.mark.parametrize("r, weights", [(4, "1,2"), (4, "2,1"), (6, "1,4"), (6, "4,1")])
+    def test_two_dimensional_non_coprime_passes(self, r, weights, capsys):
+        # r/a has no continued fraction when gcd(r, a) > 1; the comparison
+        # is skipped, not an input error
+        assert main(["verify", "-r", str(r), "-w", weights, "--samples", "100"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip().endswith("PASS")
+        assert "continued fraction" not in captured.out
+        assert captured.err == ""
+
     def test_bad_type_is_input_error(self, capsys):
         assert main(["verify", "-r", "9", "-w", "3,6"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -182,6 +192,16 @@ class TestExport:
         svg = paths["svg"].read_text()
         assert svg.count("<polygon") == 8
         assert paths["dot"].read_text().startswith("digraph")
+
+    def test_bad_input_writes_no_file(self, tmp_path, capsys):
+        # the SVG needs three weights; the JSON must not be written either
+        fan_json, svg = tmp_path / "a.json", tmp_path / "b.svg"
+        code = main(
+            ["export", "-r", "5", "-w", "1,2", "--json", str(fan_json), "--svg", str(svg)]
+        )
+        assert code == 2
+        assert "3 weights" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_requires_some_output(self, capsys):
         assert main(["export", "-r", "12", "-w", "1,2,7"]) == 2

@@ -3,7 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 import hypothesis.strategies as st
@@ -396,6 +396,17 @@ class TestValidateFan:
         assert not v.faces_ok
         assert v.bad_pairs == ((8, 9),)
 
+    def test_detects_overlap_across_a_negated_generator(self):
+        # cone(-e_1, (3,1)) swallows cone((1,2), e_2); the pair test must run
+        # on every pair, also where a generator's coordinates sum below zero
+        fan = build_resolution(GroupType.from_weights(5, (1, 2)))
+        first, _, last = fan.max_cones
+        negated = replace(last, generators=((-5, 0), (3, 1)))
+        v = validate_fan(replace(fan, max_cones=(first, negated)))
+        assert not v.faces_certified
+        assert not v.faces_ok
+        assert v.bad_pairs == ((0, 1),)
+
     @pytest.mark.parametrize(
         "r, weights, euler", [(3001, (1, 2, 2998), 3001), (101, (1, 2, 3, 95), 233)]
     )
@@ -525,6 +536,25 @@ class TestFacetCertificate:
             assert fan_mod._check_faces(fan, normals) == []
         if kind in ("front", "permute"):
             assert certified
+
+    # fewer examples: the enumeration runs on every pair of every fan
+    @settings(max_examples=60, deadline=None)
+    @given(perturbed_fans())
+    def test_fast_path_agrees_with_enumeration(self, case):
+        _, fan = case
+        try:
+            normals = face_normals(fan)
+        except ValueError:
+            assume(False)  # a swap flattened the cone
+        cones = fan.max_cones
+        enumerated = []
+        for i, j in combinations(range(len(cones)), 2):
+            gens_i, gens_j = cones[i].generators, cones[j].generators
+            shared = set(gens_i) & set(gens_j)
+            args = (gens_i, gens_j, normals[i], normals[j], shared, fan.group.n)
+            if not fan_mod._pair_face_enumerate(*args):
+                enumerated.append((i, j))
+        assert fan_mod._check_faces(fan, normals) == enumerated
 
 
 class TestExactHelpers:
