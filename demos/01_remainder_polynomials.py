@@ -12,7 +12,7 @@ x_i recording the path taken.
 
 from fujiki_oka import INFINITY, ProperFraction, expand
 
-v = ProperFraction.parse("(1,2,7)/12")
+v = ProperFraction((1, 2, 7), 12)
 print("start from", v)
 print()
 
@@ -42,7 +42,7 @@ print(f"S = h + r:  {S} = {h} + {v.denominator}")
 print()
 
 # a second example whose expansion goes one level deeper
-w = ProperFraction.parse("(1,2,5)/12")
+w = ProperFraction((1, 2, 5), 12)
 poly2 = expand(w)
 print("same game for", w)
 print(poly2.pretty())

@@ -50,8 +50,6 @@ def det_int(rows: list[list[int]]) -> int:
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("matrix must be square")
-    if n == 1:
-        return m[0][0]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -562,13 +560,11 @@ def _dot(u, v) -> int:
 
 
 def _null_direction(vs, n):
-    """Integer spanning vector of the common kernel of n-1 row vectors."""
-    if n == 1:
-        return None
+    """Integer spanning vector of the common kernel of n-1 row vectors (n >= 2)."""
     comps = []
     for k in range(n):
         minor = [[v[b] for b in range(n) if b != k] for v in vs]
-        d = det_int(minor) if minor else 1
+        d = det_int(minor)
         comps.append(-d if k % 2 else d)
     return tuple(comps) if any(comps) else None
 

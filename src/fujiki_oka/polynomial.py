@@ -38,12 +38,6 @@ class RemainderPolynomial:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def coefficient(self, word: Word) -> ProperFraction | None:
-        for t in self.terms:
-            if t.word == tuple(word):
-                return t.coefficient
-        return None
-
     def total_height(self) -> int:
         """Sum of the heights of all coefficients."""
         return sum(t.coefficient.height() for t in self.terms)
@@ -82,29 +76,24 @@ class RemainderPolynomial:
 def expand(root: ProperFraction) -> RemainderPolynomial:
     """Expand ``root`` into its remainder polynomial.
 
-    Children are generated depth-first with an explicit stack (branch depth
-    is bounded by the root denominator, but recursion would be the wrong
-    tool anyway), then sorted into canonical order.  Images equal to
-    infinity or to the zero fraction over 1 are dropped.  Raises
-    ``ValueError`` if the root is not semi-unimodular and ``ArithmeticError``
-    if an intermediate coefficient escapes the semi-unimodular family, which
-    would mean the input was outside the machinery's scope.
+    Terms are generated breadth-first: each term's children are appended in
+    index order 1..n, so the list comes out in canonical (length, lex)
+    order.  Images equal to infinity or to the zero fraction over 1 are
+    dropped.  Raises ``ValueError`` if the root is not semi-unimodular and
+    ``ArithmeticError`` if an intermediate coefficient escapes the
+    semi-unimodular family, which would mean the input was outside the
+    machinery's scope.
     """
     if not root.is_semi_unimodular():
         raise ValueError(f"expansion requires a semi-unimodular root, got {root}")
-    terms: list[Term] = []
-    stack: list[Term] = [Term((), root)]
-    while stack:
-        term = stack.pop()
+    terms: list[Term] = [Term((), root)]
+    for term in terms:
         coef = term.coefficient
         if not coef.is_semi_unimodular():
             raise ArithmeticError(f"coefficient {coef} at word {term.word} has no unit entry")
-        terms.append(term)
-        # push in reverse so children pop in index order 1..n
-        for i in range(coef.n, 0, -1):
+        for i in range(1, coef.n + 1):
             image = coef.remainder(i)
             if image is INFINITY or image.is_zero():
                 continue
-            stack.append(Term(term.word + (i,), image))
-    terms.sort(key=lambda t: (len(t.word), t.word))
+            terms.append(Term(term.word + (i,), image))
     return RemainderPolynomial(root, tuple(terms))

@@ -13,7 +13,6 @@ All arithmetic in this module is exact integer arithmetic.
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,9 +44,6 @@ def _as_int(value: object, message: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{message}, got {value!r}") from None
-
-
-_FRACTION_RE = re.compile(r"^\(\s*(-?\d+(?:\s*,\s*-?\d+)+)\s*\)\s*/\s*(-?\d+)$")
 
 
 @dataclass(frozen=True)
@@ -136,11 +132,3 @@ class ProperFraction:
     def __str__(self) -> str:
         return "(%s)/%d" % (",".join(str(a) for a in self.numerators), self.denominator)
 
-    @classmethod
-    def parse(cls, text: str) -> "ProperFraction":
-        """Parse the ``(a1,a2,...,an)/r`` notation."""
-        m = _FRACTION_RE.match(text.strip())
-        if m is None:
-            raise ValueError(f"cannot parse proper fraction from {text!r}")
-        nums = tuple(int(part) for part in m.group(1).split(","))
-        return cls(nums, int(m.group(2)))

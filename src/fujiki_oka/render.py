@@ -12,18 +12,15 @@ import json
 import math
 
 from .fan import Fan
-from .polynomial import RemainderPolynomial, expand
+from .polynomial import RemainderPolynomial
 
 
-def fan_to_json(fan: Fan, poly: RemainderPolynomial | None = None) -> dict:
+def fan_to_json(fan: Fan, poly: RemainderPolynomial) -> dict:
     """JSON-ready summary of a fan and its arithmetic cross-checks.
 
-    Cones reference rays by index into the ``rays`` array.  ``poly``
-    defaults to the expansion of the fan's own group type; pass it in when
-    already computed.
+    Cones reference rays by index into the ``rays`` array; the size and
+    total height come from ``poly``, the expansion of the fan's group type.
     """
-    if poly is None:
-        poly = expand(fan.group.fraction)
     index = {ray.scaled: i for i, ray in enumerate(fan.rays)}
     return {
         "group": {"r": fan.group.r, "weights": list(fan.group.weights)},
@@ -51,7 +48,7 @@ def fan_to_json(fan: Fan, poly: RemainderPolynomial | None = None) -> dict:
     }
 
 
-def fan_json_text(fan: Fan, poly: RemainderPolynomial | None = None) -> str:
+def fan_json_text(fan: Fan, poly: RemainderPolynomial) -> str:
     return json.dumps(fan_to_json(fan, poly), indent=2) + "\n"
 
 

@@ -113,6 +113,12 @@ class TestSweep:
         text = dest.read_text()
         assert text.startswith("r,weights,S,h,chi,")
 
+    def test_unwritable_csv_is_input_error(self, tmp_path, capsys):
+        dest = tmp_path / "missing_dir" / "x.csv"
+        assert main(["sweep", "--dim", "2", "--r-max", "5", "--csv", str(dest)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not dest.exists()
+
     def test_cap_is_enforced(self, capsys):
         assert main(["sweep", "--dim", "3", "--r-max", "200"]) == 2
         assert "allow_large" in capsys.readouterr().err
@@ -202,6 +208,12 @@ class TestExport:
         assert code == 2
         assert "3 weights" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_path_is_input_error(self, tmp_path, capsys):
+        dest = tmp_path / "missing_dir" / "x.json"
+        assert main(["export", "-r", "12", "-w", "1,2,7", "--json", str(dest)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not dest.exists()
 
     def test_requires_some_output(self, capsys):
         assert main(["export", "-r", "12", "-w", "1,2,7"]) == 2

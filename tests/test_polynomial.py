@@ -17,6 +17,11 @@ def words_and_coefficients(poly: RemainderPolynomial):
     return {t.word: (t.coefficient.numerators, t.coefficient.denominator) for t in poly.terms}
 
 
+def in_canonical_order(poly: RemainderPolynomial) -> bool:
+    keys = [(len(t.word), t.word) for t in poly.terms]
+    return keys == sorted(keys)
+
+
 class TestGolden:
     def test_expand_1_2_7_over_12(self):
         poly = expand(ProperFraction((1, 2, 7), 12))
@@ -65,15 +70,7 @@ class TestGolden:
 
 class TestStructure:
     def test_terms_in_canonical_order(self):
-        poly = expand(ProperFraction((1, 2, 5), 12))
-        keys = [(len(t.word), t.word) for t in poly.terms]
-        assert keys == sorted(keys)
-
-    def test_coefficient_lookup(self):
-        poly = expand(ProperFraction((1, 2, 7), 12))
-        assert poly.coefficient((3, 2)) == ProperFraction((1, 1, 0), 2)
-        assert poly.coefficient(()) == poly.root
-        assert poly.coefficient((1,)) is None
+        assert in_canonical_order(expand(ProperFraction((1, 2, 5), 12)))
 
     def test_rejects_non_semi_unimodular_root(self):
         with pytest.raises(ValueError):
@@ -95,12 +92,14 @@ class TestAgainstOracle:
                     assert words_and_coefficients(poly) == oracle_expand(
                         v.numerators, v.denominator
                     ), f"mismatch at {v}"
+                    assert in_canonical_order(poly), f"order at {v}"
 
     @settings(max_examples=200)
     @given(semi_unimodular_fractions(max_n=4, max_r=50))
     def test_random_types(self, v):
         poly = expand(v)
         assert words_and_coefficients(poly) == oracle_expand(v.numerators, v.denominator)
+        assert in_canonical_order(poly)
         assert poly.size() == oracle_size(v.numerators, v.denominator)
         assert poly.total_height() == oracle_height(v.numerators, v.denominator)
 

@@ -16,13 +16,20 @@ from fujiki_oka import (
 )
 
 
+GOLDEN = GroupType.from_weights(12, (1, 2, 7))
+
+
 def golden_fan():
-    return build_resolution(GroupType.from_weights(12, (1, 2, 7)))
+    return build_resolution(GOLDEN)
+
+
+def golden_poly():
+    return expand(GOLDEN.fraction)
 
 
 class TestJson:
     def test_top_level_key_order(self):
-        data = fan_to_json(golden_fan())
+        data = fan_to_json(golden_fan(), golden_poly())
         assert list(data) == [
             "group",
             "rays",
@@ -36,7 +43,7 @@ class TestJson:
         assert list(data["max_cones"][0]) == ["ray_indices", "word", "multiplicity"]
 
     def test_golden_content(self):
-        data = fan_to_json(golden_fan())
+        data = fan_to_json(golden_fan(), golden_poly())
         assert data["group"] == {"r": 12, "weights": [1, 2, 7]}
         assert data["euler"] == 8
         assert data["height_total"] == -4
@@ -54,14 +61,14 @@ class TestJson:
 
     def test_indices_reference_rays(self):
         fan = golden_fan()
-        data = fan_to_json(fan)
+        data = fan_to_json(fan, golden_poly())
         for cone, entry in zip(fan.max_cones, data["max_cones"]):
             resolved = [tuple(data["rays"][i]["scaled"]) for i in entry["ray_indices"]]
             assert resolved == list(cone.generators)
 
     def test_text_is_reproducible(self):
-        a = fan_json_text(golden_fan())
-        b = fan_json_text(golden_fan())
+        a = fan_json_text(golden_fan(), golden_poly())
+        b = fan_json_text(golden_fan(), golden_poly())
         assert a == b
         assert a.endswith("\n")
         assert json.loads(a)["euler"] == 8
