@@ -10,7 +10,7 @@ finite tree of fractions; the polynomial is that tree with words in the
 x_i recording the path taken.
 """
 
-from fujiki_oka import INFINITY, ProperFraction, expand
+from fujiki_oka import ProperFraction, expand
 
 v = ProperFraction((1, 2, 7), 12)
 print("start from", v)
@@ -19,7 +19,7 @@ print()
 # one level by hand
 for i in range(1, v.n + 1):
     image = v.remainder(i)
-    if image is INFINITY:
+    if image is None:
         print(f"  R_{i}: no finite image (weight 0)")
     elif image.is_zero():
         print(f"  R_{i}: collapses to zero (weight 1)")

@@ -12,7 +12,6 @@ Writes fan.json, fan.svg and tree.dot next to this script when run.
 import pathlib
 
 from fujiki_oka import (
-    Cone,
     GroupType,
     build_resolution,
     cone_multiplicity,
@@ -25,9 +24,8 @@ from fujiki_oka import (
 )
 
 group = GroupType.from_weights(12, (1, 2, 7))
-r, n = group.r, group.n
-axes = tuple(tuple(r if j == i else 0 for j in range(n)) for i in range(n))
-root = Cone(axes, group.fraction, ())
+fan = build_resolution(group)
+root = fan.nodes[0]
 
 print(f"resolving {group}")
 print(f"root cone multiplicity: {cone_multiplicity(root, group)}")
@@ -35,20 +33,14 @@ point, _ = star_subdivide(root, group)
 print(f"first subdivision point: {point}")
 print()
 
-# walk the subdivision tree manually, worklist style
-stack = [root]
-while stack:
-    cone = stack.pop()
+# every cone the subdivision produced, depth-first with children in index order
+for cone in fan.nodes:
     mult = cone_multiplicity(cone, group)
     pad = "  " * len(cone.word)
     print(f"{pad}cone {cone.word or '()'}: type {cone.local_type}, multiplicity {mult}")
-    if not cone.is_smooth_type():
-        _, children = star_subdivide(cone, group)
-        stack.extend(reversed(children))
 print()
 
-# the library call does the same thing and indexes the result
-fan = build_resolution(group)
+# the smooth leaves are the maximal cones; the fan indexes their rays
 print(f"maximal cones: {fan.euler}")
 for ray in fan.rays:
     kind = "exceptional" if ray.exceptional else "axis"

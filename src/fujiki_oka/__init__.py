@@ -24,7 +24,7 @@ from .fan import (
     validate_fan,
 )
 from .polynomial import RemainderPolynomial, Term, expand
-from .propfrac import INFINITY, ProperFraction
+from .propfrac import ProperFraction
 from .render import (
     fan_json_text,
     fan_to_json,
@@ -49,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_SEED",
-    "INFINITY",
     "Comparison2D",
     "Cone",
     "Fan",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .fan import DEFAULT_SEED, GroupType, build_resolution, resolution_report
@@ -143,9 +144,8 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _checkline(ok: bool, label: str) -> bool:
+def _checkline(ok: bool, label: str) -> None:
     print(f"[{'ok' if ok else 'FAIL'}] {label}")
-    return ok
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -153,30 +153,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report, fan, _ = resolution_report(group, samples=args.samples, seed=args.seed)
     print(f"type {group}")
     print(f"euler {report.euler}  size {report.size}  height {report.height}")
-    ok = True
-    ok &= _checkline(report.identity_size_height, "size = height + r")
-    ok &= _checkline(report.identity_euler_size, "euler = size")
-    ok &= _checkline(report.identity_euler_height, "euler = height + r")
-    ok &= _checkline(
+    _checkline(report.identity_size_height, "size = height + r")
+    _checkline(report.identity_euler_size, "euler = size")
+    _checkline(report.identity_euler_height, "euler = height + r")
+    _checkline(
         report.crepancy_agrees,
         f"crepancy criteria agree ({'crepant' if report.crepant else 'not crepant'})",
     )
     v = report.validation
-    ok &= _checkline(report.smooth_all, "multiplicities all 1")
-    ok &= _checkline(v.rays_ok, "rays primitive in the lattice")
-    ok &= _checkline(
+    _checkline(report.smooth_all, "multiplicities all 1")
+    _checkline(v.rays_ok, "rays primitive in the lattice")
+    _checkline(
         v.coverage_ok,
         f"coverage clean on {v.samples} samples "
         f"(uncovered {v.uncovered}, overlapping {v.overlapping}, gaps {v.boundary_gaps})",
     )
-    ok &= _checkline(v.faces_ok, "cone pairs meet in common faces")
+    _checkline(v.faces_ok, "cone pairs meet in common faces")
+    ok = report.ok
     # r/a has a continued fraction only for a coprime to r; the other
     # weight is 1, so the product of the weights stands for a
     if group.n == 2 and math.gcd(group.r, math.prod(group.weights)) == 1:
         cmp2 = compare_2d(fan)
-        ok &= _checkline(
-            cmp2.ok, f"matches continued fraction {list(cmp2.expansion)} and hull"
-        )
+        _checkline(cmp2.ok, f"matches continued fraction {list(cmp2.expansion)} and hull")
+        ok = ok and cmp2.ok
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -237,8 +236,22 @@ def _cmd_export(args: argparse.Namespace) -> int:
         (args.dot, lambda: subdivision_tree_dot(fan)),
     )
     texts = [(path, render()) for path, render in renderers if path]
-    for path, text in texts:
-        with open(path, "w") as fh:
+    # open every destination before emptying any, so a path that cannot be
+    # opened leaves the others as they were
+    handles = []
+    try:
+        for path, _ in texts:
+            created = not os.path.exists(path)
+            handles.append((open(path, "a"), created))
+    except OSError:
+        for fh, created in handles:
+            fh.close()
+            if created:
+                os.remove(fh.name)
+        raise
+    for (path, text), (fh, _) in zip(texts, handles):
+        with fh:
+            fh.truncate(0)
             fh.write(text)
         print(f"wrote {path}")
     return 0

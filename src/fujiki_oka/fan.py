@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +45,7 @@ ScaledPoint = tuple[int, ...]
 _SAMPLE_SPAN = 10**6
 
 
-def det_int(rows: list[list[int]]) -> int:
+def det_int(rows: Sequence[Sequence[int]]) -> int:
     """Exact integer determinant by Bareiss fraction-free elimination."""
     m = [list(r) for r in rows]
     n = len(m)
@@ -77,7 +78,7 @@ def _cofactor_rows(gens: tuple[ScaledPoint, ...]) -> tuple[int, list[tuple[int, 
     so the sign pattern of ``u_i . p`` over i gives the barycentric signs of p.
     Row i is the signed null direction of the other generators.
     """
-    d = det_int([list(g) for g in gens])
+    d = det_int(gens)
     if d == 0:
         raise ValueError("generators are linearly dependent")
     n = len(gens)
@@ -231,7 +232,7 @@ def cone_multiplicity(cone: Cone, group: GroupType) -> int:
     the division must be exact, anything else means the generators were not
     lattice points.  Multiplicity 1 is the smoothness criterion.
     """
-    d = det_int([list(g) for g in cone.generators])
+    d = det_int(cone.generators)
     if d == 0:
         raise ValueError("degenerate cone has no multiplicity")
     q, rem = divmod(abs(d), group.r ** (group.n - 1))
@@ -325,13 +326,7 @@ def build_resolution(group: GroupType, max_depth: int | None = None) -> Fan:
         creation.append(point)
         stack.extend(reversed(children))
     present = {g for c in leaves for g in c.generators}
-    seen: set[ScaledPoint] = set()
-    ray_points = []
-    for g in creation:
-        if g in present and g not in seen:
-            seen.add(g)
-            ray_points.append(g)
-    rays = tuple(_ray_info(g, group) for g in ray_points)
+    rays = tuple(_ray_info(g, group) for g in dict.fromkeys(creation) if g in present)
     return Fan(group, tuple(leaves), rays, tuple(nodes))
 
 

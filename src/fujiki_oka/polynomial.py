@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .propfrac import INFINITY, ProperFraction
+from .propfrac import ProperFraction
 
 Word = tuple[int, ...]
 
@@ -78,22 +78,19 @@ def expand(root: ProperFraction) -> RemainderPolynomial:
 
     Terms are generated breadth-first: each term's children are appended in
     index order 1..n, so the list comes out in canonical (length, lex)
-    order.  Images equal to infinity or to the zero fraction over 1 are
-    dropped.  Raises ``ValueError`` if the root is not semi-unimodular and
-    ``ArithmeticError`` if an intermediate coefficient escapes the
-    semi-unimodular family, which would mean the input was outside the
-    machinery's scope.
+    order.  Images equal to infinity (``None``) or to the zero fraction over
+    1 are dropped.  Raises ``ValueError`` if the root is not
+    semi-unimodular.  Every kept image is semi-unimodular again: the entry
+    1 of its parent reduces to 1 modulo a denominator of at least 2.
     """
     if not root.is_semi_unimodular():
         raise ValueError(f"expansion requires a semi-unimodular root, got {root}")
     terms: list[Term] = [Term((), root)]
     for term in terms:
         coef = term.coefficient
-        if not coef.is_semi_unimodular():
-            raise ArithmeticError(f"coefficient {coef} at word {term.word} has no unit entry")
         for i in range(1, coef.n + 1):
             image = coef.remainder(i)
-            if image is INFINITY or image.is_zero():
+            if image is None or image.is_zero():
                 continue
             terms.append(Term(term.word + (i,), image))
     return RemainderPolynomial(root, tuple(terms))

@@ -5,7 +5,8 @@ A proper fraction ``(a_1, ..., a_n)/r`` encodes the diagonal matrix
 ``eps``, i.e. the generator of a cyclic subgroup of GL(n, C).  The
 remainder maps are the elementary step of a multidimensional continued
 fraction algorithm: the i-th map swaps the denominator for the i-th
-numerator and reduces everything else modulo it.
+numerator and reduces everything else modulo it.  Its value is infinity
+when that numerator is 0, and ``remainder`` returns ``None`` there.
 
 All arithmetic in this module is exact integer arithmetic.
 """
@@ -15,25 +16,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-
-class _Infinity:
-    """Sentinel returned by a remainder map when the pivot numerator is 0."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "infinity"
-
-
-#: The infinite remainder image.  Compare with ``is``.
-INFINITY = _Infinity()
 
 
 def _as_int(value: object, message: str) -> int:
@@ -106,13 +88,14 @@ class ProperFraction:
         """Number of numerator entries equal to 1."""
         return sum(1 for a in self.numerators if a == 1)
 
-    def remainder(self, i: int) -> "ProperFraction | _Infinity":
+    def remainder(self, i: int) -> "ProperFraction | None":
         """Apply the i-th remainder map (i is 1-based).
 
         The i-th numerator becomes the new denominator; every other
         numerator is reduced modulo it and the old denominator re-enters,
-        negated, at position i.  Returns :data:`INFINITY` when the i-th
-        numerator is 0.  Only defined on semi-unimodular fractions.
+        negated, at position i.  The map's value is infinity when the i-th
+        numerator is 0; ``None`` stands for it.  Only defined on
+        semi-unimodular fractions.
         """
         if not 1 <= i <= self.n:
             raise IndexError(f"index {i} outside 1..{self.n}")
@@ -120,7 +103,7 @@ class ProperFraction:
             raise ValueError(f"remainder map undefined: {self} has no unit numerator")
         pivot = self.numerators[i - 1]
         if pivot == 0:
-            return INFINITY
+            return None
         # floor modulus keeps every residue in [0, pivot - 1], including the
         # negated denominator entry
         nums = tuple(

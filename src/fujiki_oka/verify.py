@@ -81,8 +81,6 @@ def hj_evaluate(entries: Sequence[int]) -> Fraction:
         raise ValueError("empty expansion")
     value = Fraction(entries[-1])
     for c in reversed(entries[:-1]):
-        if value == 0:
-            raise ZeroDivisionError("expansion hits a zero tail")
         value = c - 1 / value
     return value
 

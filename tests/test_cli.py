@@ -1,11 +1,15 @@
 """End-to-end tests of the command line interface."""
 
+import dataclasses
+import hashlib
 import json
 import shutil
 import subprocess
 
 import pytest
 
+import fujiki_oka.cli
+import fujiki_oka.fan
 from fujiki_oka.cli import main
 
 
@@ -87,6 +91,33 @@ class TestVerify:
         assert captured.out.strip().endswith("PASS")
         assert "continued fraction" not in captured.out
         assert captured.err == ""
+
+    def test_failed_check_exits_one(self, monkeypatch, capsys):
+        real = fujiki_oka.fan.validate_fan
+
+        def bad_faces(*args, **kwargs):
+            return dataclasses.replace(
+                real(*args, **kwargs), faces_ok=False, bad_pairs=((0, 1),)
+            )
+
+        monkeypatch.setattr(fujiki_oka.fan, "validate_fan", bad_faces)
+        assert main(["verify", "-r", "12", "-w", "1,2,7", "--samples", "100"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] cone pairs meet in common faces" in out
+        assert out.strip().endswith("FAIL")
+
+    def test_failed_two_dimensional_comparison_exits_one(self, monkeypatch, capsys):
+        real = fujiki_oka.cli.compare_2d
+        monkeypatch.setattr(
+            fujiki_oka.cli,
+            "compare_2d",
+            lambda fan: dataclasses.replace(real(fan), rays_on_hull=False),
+        )
+        assert main(["verify", "-r", "12", "-w", "1,7", "--samples", "100"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] matches continued fraction [2, 4, 2] and hull" in out
+        assert out.count("[FAIL]") == 1
+        assert out.strip().endswith("FAIL")
 
     def test_bad_type_is_input_error(self, capsys):
         assert main(["verify", "-r", "9", "-w", "3,6"]) == 2
@@ -215,9 +246,70 @@ class TestExport:
         assert "error:" in capsys.readouterr().err
         assert not dest.exists()
 
+    def test_unwritable_later_path_writes_nothing(self, tmp_path, capsys):
+        # every destination is opened before any is emptied
+        kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+        kept.write_bytes(b"earlier contents\n")
+        dot = tmp_path / "missing_dir" / "x.dot"
+        argv = ["export", "-r", "12", "-w", "1,2,7", "--json", str(kept)]
+        code = main(argv + ["--poly", str(fresh), "--dot", str(dot)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "wrote" not in captured.out
+        assert kept.read_bytes() == b"earlier contents\n"
+        assert not fresh.exists()
+        assert not dot.exists()
+
     def test_requires_some_output(self, capsys):
         assert main(["export", "-r", "12", "-w", "1,2,7"]) == 2
         assert "nothing to export" in capsys.readouterr().err
+
+
+# sha256 of the exit code, a newline and the output: stdout for the printing
+# verbs, the written file for export
+GOLDEN_OUTPUT = [
+    ("12", "1,2,7", "expand", "dda1d03c7ad392681266814701cfbb929aae00af927f5aa31c9b8212416beaba"),
+    ("12", "1,2,7", "expand --json", "3fdb04efe01ad4e99c47cd16519e7d8acbabec2e9c652cf915f8c54897d34aad"),
+    ("12", "1,2,7", "resolve", "0f6ae99c30ee43855c42e35ed414af7fbadc5c5b68aa125461d8f1705d381b18"),
+    ("12", "1,2,7", "verify", "8255a22a267fdef85c7183235f3e8c32089291533256019d3dd9100a77a050c9"),
+    ("12", "1,2,7", "export --json", "89c287ae3902c5e3bb917be28cc2d66a775023acd923102c228997b4420198ce"),
+    ("12", "1,2,7", "export --poly", "3fdb04efe01ad4e99c47cd16519e7d8acbabec2e9c652cf915f8c54897d34aad"),
+    ("12", "1,2,7", "export --svg", "b831ff214223e097f72110f3bc3a66e27647859fc4cdb5093742c5e4382b4d81"),
+    ("12", "1,2,7", "export --dot", "45a08d6885d035235b96d7c4bf8c457ddd7053e05997cd1571db613feddcece9"),
+    ("30", "1,11", "expand", "0cd0b3260383588d614a3311c42c1f6973b1442ef21a8449c97a396007afac85"),
+    ("30", "1,11", "expand --json", "e3c3b31467f8e9aaef556ef2eb60327c7130a53e8748543711cbc1520f794c92"),
+    ("30", "1,11", "resolve", "e0c353b7741b9b2efff7e1f3273f5c21ab60c2b37f906dda1639950e55a0504b"),
+    ("30", "1,11", "verify", "75583b6808d56686798a5c08a1af06b4e895a194cdba133b8872a24b299d2b5c"),
+    ("30", "1,11", "export --json", "5d54ebebcdf1fedfd007c730fd554711d1ab35908bde104d0285bc9bda1ba6fe"),
+    ("30", "1,11", "export --poly", "e3c3b31467f8e9aaef556ef2eb60327c7130a53e8748543711cbc1520f794c92"),
+    ("30", "1,11", "export --dot", "91d27b9ccc51f74bf1dd7a12d13ff97513a3cc77682a1cc64bee8193e7b959ec"),
+    ("101", "1,2,3,95", "expand", "09d785d503bf44f3ef705468569cbbf17413840cb6a075e828e46af3efcc1a56"),
+    ("101", "1,2,3,95", "expand --json", "88a9a3fb492b4256d777da60de1e3fc656d6b56178eda64efc6f833ba47c4d17"),
+    ("101", "1,2,3,95", "resolve", "390c95d4a6c88f8b767a2d5dbfd6f75a1577f9ac323a83d387ee5748dee11375"),
+    ("101", "1,2,3,95", "verify", "086ad12958dab453f4edff8b14c162bf62391415292e85954aeb0ab6f2fc1fa9"),
+    ("101", "1,2,3,95", "export --json", "d5938b6ed2b28741afa4fe63192da477221ec33791fc2a9b885ddb2c92d31171"),
+    ("101", "1,2,3,95", "export --poly", "88a9a3fb492b4256d777da60de1e3fc656d6b56178eda64efc6f833ba47c4d17"),
+    ("101", "1,2,3,95", "export --dot", "e022819cf1f715228c5a1ee6dcaffecfa5f30d979d777b79eec889145d8ae911"),
+]
+
+
+@pytest.mark.parametrize(
+    "order, weights, command, digest",
+    GOLDEN_OUTPUT,
+    ids=[f"1/{r}({w})-{c.replace(' --', '-')}" for r, w, c, _ in GOLDEN_OUTPUT],
+)
+def test_golden_output(order, weights, command, digest, tmp_path, capsys):
+    verb, *flags = command.split()
+    argv = [verb, "-r", order, "-w", weights]
+    if verb == "export":
+        dest = tmp_path / "out"
+        code = main(argv + [flags[0], str(dest)])
+        text = dest.read_text()
+    else:
+        code = main(argv + flags)
+        text = capsys.readouterr().out
+    assert hashlib.sha256(f"{code}\n{text}".encode()).hexdigest() == digest
 
 
 class TestConsoleScript:

@@ -62,6 +62,8 @@ class TestContinuedFractions:
             hj_expansion(6, 2)
         with pytest.raises(ValueError):
             hj_evaluate([])
+        with pytest.raises(ZeroDivisionError):
+            hj_evaluate([2, 0])
 
 
 def surface(r, weights):
