@@ -37,5 +37,6 @@ print(f"most common: {sizes.most_common(3)}")
 
 here = pathlib.Path(__file__).resolve().parent
 out = here / "sweep_3d.csv"
-write_sweep_csv(records, out)
+with open(out, "w", newline="") as fh:
+    write_sweep_csv(records, fh)
 print(f"wrote {out}")

@@ -17,7 +17,7 @@ print(f"{'family':<8}{'k':>3}{'type':>18}{'chi':>6}{'r':>5}  gorenstein  ok")
 for name in ("plus", "minus"):
     for k in range(1, 9):
         group = family_type(name, k)
-        rec, _, _ = resolution_report(group)
+        rec, _ = resolution_report(group)
         mark = "yes" if rec.gorenstein else "no"
         ok = "yes" if rec.ok else "no"
         row = f"{name:<8}{k:>3}{str(group):>18}{rec.euler:>6}{group.r:>5}"

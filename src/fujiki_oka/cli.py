@@ -15,6 +15,8 @@ Exit codes: 0 success, 1 a check failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import math
 import os
 import sys
@@ -102,8 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("family", help="resolve members of a classical family")
     p.add_argument("name", choices=("plus", "minus"), help="which family")
-    p.add_argument("-k", type=int, default=None, help="single member index")
-    p.add_argument("--k-max", type=_positive_int, default=None, help="members 1..k_max")
+    members = p.add_mutually_exclusive_group(required=True)
+    members.add_argument("-k", type=_positive_int, help="single member index")
+    members.add_argument("--k-max", type=_positive_int, help="members 1..k_max")
 
     p = subs.add_parser("export", help="write artifacts for a type")
     _add_type_args(p)
@@ -113,6 +116,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", metavar="PATH", help="subdivision tree in DOT")
 
     return parser
+
+
+@contextlib.contextmanager
+def _output_files(paths: list[str]):
+    """Open every path before the work runs and yield one buffer per path.
+
+    Append mode empties nothing while the work runs, so on any exception the
+    files created here are removed and the others keep their bytes.  Once
+    the work returns, each file is truncated and given its buffer's text.
+    """
+    handles = []
+    try:
+        for path in paths:
+            created = not os.path.exists(path)
+            handles.append((open(path, "a", newline=""), created))
+        buffers = [io.StringIO() for _ in handles]
+        yield buffers
+        for (fh, _), buf in zip(handles, buffers):
+            with fh:
+                fh.truncate(0)
+                fh.write(buf.getvalue())
+    except BaseException:
+        for fh, created in handles:
+            fh.close()
+            if created:
+                os.remove(fh.name)
+        raise
 
 
 def _group(args: argparse.Namespace) -> GroupType:
@@ -150,7 +180,7 @@ def _checkline(ok: bool, label: str) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     group = _group(args)
-    report, fan, _ = resolution_report(group, samples=args.samples, seed=args.seed)
+    report, fan = resolution_report(group, samples=args.samples, seed=args.seed)
     print(f"type {group}")
     print(f"euler {report.euler}  size {report.size}  height {report.height}")
     _checkline(report.identity_size_height, "size = height + r")
@@ -181,17 +211,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    records = sweep(
-        dim=args.dim,
-        r_max=args.r_max,
-        r_min=args.r_min,
-        gorenstein_only=args.gorenstein,
-        crepant_only=args.crepant_only,
-        jobs=args.jobs,
-        allow_large=args.allow_large,
-    )
+    with _output_files([args.csv] if args.csv else []) as buffers:
+        records = sweep(
+            dim=args.dim,
+            r_max=args.r_max,
+            r_min=args.r_min,
+            gorenstein_only=args.gorenstein,
+            crepant_only=args.crepant_only,
+            jobs=args.jobs,
+            allow_large=args.allow_large,
+        )
+        for buf in buffers:
+            write_sweep_csv(records, buf)
     if args.csv:
-        write_sweep_csv(records, args.csv)
         print(f"wrote {len(records)} records to {args.csv}")
     stats = summarize(records)
     print(
@@ -206,9 +238,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    if (args.k is None) == (args.k_max is None):
-        print("error: pass exactly one of -k or --k-max", file=sys.stderr)
-        return 2
     ks = [args.k] if args.k is not None else list(range(1, args.k_max + 1))
     ok = True
     for k in ks:
@@ -222,37 +251,22 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    if not (args.json or args.poly or args.svg or args.dot):
+    outputs = [
+        (args.json, fan_json_text),
+        (args.poly, lambda fan, poly: polynomial_json_text(poly)),
+        (args.svg, lambda fan, poly: fan_to_svg(fan)),
+        (args.dot, lambda fan, poly: subdivision_tree_dot(fan)),
+    ]
+    outputs = [(path, render) for path, render in outputs if path]
+    if not outputs:
         print("error: nothing to export; pass --json/--poly/--svg/--dot", file=sys.stderr)
         return 2
-    group = _group(args)
-    fan = build_resolution(group)
-    poly = expand(group.fraction)
-    # render everything before opening any file, so bad input writes nothing
-    renderers = (
-        (args.json, lambda: fan_json_text(fan, poly)),
-        (args.poly, lambda: polynomial_json_text(poly)),
-        (args.svg, lambda: fan_to_svg(fan)),
-        (args.dot, lambda: subdivision_tree_dot(fan)),
-    )
-    texts = [(path, render()) for path, render in renderers if path]
-    # open every destination before emptying any, so a path that cannot be
-    # opened leaves the others as they were
-    handles = []
-    try:
-        for path, _ in texts:
-            created = not os.path.exists(path)
-            handles.append((open(path, "a"), created))
-    except OSError:
-        for fh, created in handles:
-            fh.close()
-            if created:
-                os.remove(fh.name)
-        raise
-    for (path, text), (fh, _) in zip(texts, handles):
-        with fh:
-            fh.truncate(0)
-            fh.write(text)
+    with _output_files([path for path, _ in outputs]) as buffers:
+        fan = build_resolution(_group(args))
+        poly = expand(fan.group.fraction)
+        for (_, render), buf in zip(outputs, buffers):
+            buf.write(render(fan, poly))
+    for path, _ in outputs:
         print(f"wrote {path}")
     return 0
 

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomial import RemainderPolynomial, expand
+from .polynomial import expand
 from .propfrac import ProperFraction
 
 #: Fixed default seed for reproducible validation sampling.
@@ -71,23 +71,21 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _cofactor_rows(gens: tuple[ScaledPoint, ...]) -> tuple[int, list[tuple[int, ...]]]:
-    """Determinant and inward facet normals of a simplicial cone.
+def _cofactor_rows(gens: tuple[ScaledPoint, ...]) -> list[tuple[int, ...]]:
+    """Inward facet normals of a simplicial cone on independent generators.
 
     Row i of the result pairs with generator i: ``u_i . g_j = |det| * delta_ij``,
     so the sign pattern of ``u_i . p`` over i gives the barycentric signs of p.
     Row i is the signed null direction of the other generators.
     """
     d = det_int(gens)
-    if d == 0:
-        raise ValueError("generators are linearly dependent")
     n = len(gens)
     rows = []
     for i in range(n):
         sign = 1 if (d > 0) == (i % 2 == 0) else -1
         direction = _null_direction(gens[:i] + gens[i + 1 :], n)
         rows.append(tuple([sign * c for c in direction]))
-    return abs(d), rows
+    return rows
 
 
 def _divisors_desc(g: int) -> list[int]:
@@ -254,8 +252,6 @@ def star_subdivide(cone: Cone, group: GroupType) -> tuple[ScaledPoint, list[Cone
     """
     b = cone.local_type
     s = b.denominator
-    if s < 2:
-        raise ValueError(f"cone {cone.word} is already smooth, nothing to subdivide")
     if not b.is_semi_unimodular():
         raise ValueError(f"local type {b} has no unit entry")
     n = b.n
@@ -286,7 +282,7 @@ def star_subdivide(cone: Cone, group: GroupType) -> tuple[ScaledPoint, list[Cone
 
 def _is_full_axis(point: ScaledPoint, r: int) -> bool:
     nonzero = [v for v in point if v != 0]
-    return len(nonzero) == 1 and nonzero[0] == r and all(v >= 0 for v in point)
+    return len(nonzero) == 1 and nonzero[0] == r
 
 
 def _ray_info(point: ScaledPoint, group: GroupType) -> RayInfo:
@@ -397,7 +393,7 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
         if not ok:
             bad_rays.append(ray.scaled)
 
-    normals = [_cofactor_rows(c.generators)[1] for c in fan.max_cones]
+    normals = [_cofactor_rows(c.generators) for c in fan.max_cones]
 
     uncovered, overlapping, gaps = _check_coverage(fan, normals, samples, seed)
     certified = _facets_certified(fan, normals)
@@ -527,10 +523,10 @@ def _pair_face_ok(gens_c, gens_d, normals_c, normals_d, shared, n) -> bool:
                 return True
             if {g for g, v in zip(other, dots) if v == 0} == shared:
                 return True
-    return _pair_face_enumerate(gens_c, gens_d, normals_c, normals_d, shared, n)
+    return _pair_face_enumerate(gens_c, normals_c, normals_d, shared, n)
 
 
-def _pair_face_enumerate(gens_c, gens_d, normals_c, normals_d, shared, n) -> bool:
+def _pair_face_enumerate(gens_c, normals_c, normals_d, shared, n) -> bool:
     # complete check: every extreme ray of the intersection cone must lie in
     # the cone on the shared generators.  Extreme rays of a pointed cone cut
     # from 2n halfspaces have n-1 independent active constraints, so
@@ -629,7 +625,7 @@ def resolution_report(
     samples: int = 1000,
     seed: int = DEFAULT_SEED,
     validate: bool = True,
-) -> tuple[ResolutionReport, Fan, RemainderPolynomial]:
+) -> tuple[ResolutionReport, Fan]:
     """Resolve, expand, cross-check, and bundle the results.
 
     The Euler characteristic comes from counting cones of the geometric
@@ -658,4 +654,4 @@ def resolution_report(
         validation=validation,
         ms=(time.perf_counter() - t0) * 1000.0,
     )
-    return report, fan, poly
+    return report, fan

@@ -32,7 +32,6 @@ class Term:
 class RemainderPolynomial:
     """All terms of an expansion, in canonical (word length, lex) order."""
 
-    root: ProperFraction
     terms: tuple[Term, ...]
 
     def __len__(self) -> int:
@@ -93,4 +92,4 @@ def expand(root: ProperFraction) -> RemainderPolynomial:
             if image is None or image.is_zero():
                 continue
             terms.append(Term(term.word + (i,), image))
-    return RemainderPolynomial(root, tuple(terms))
+    return RemainderPolynomial(tuple(terms))

@@ -20,7 +20,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 from .fan import (
@@ -276,22 +275,13 @@ _CSV_COLUMNS = (
 )
 
 
-def write_sweep_csv(
-    records: Iterable[ResolutionReport], dest: str | Path | IO[str]
-) -> None:
-    """Write sweep records as CSV.
+def write_sweep_csv(records: Iterable[ResolutionReport], fh: IO[str]) -> None:
+    """Write sweep records as CSV to the text stream ``fh``.
 
+    Rows end in CRLF, so a file should be opened with ``newline=""``.
     All columns except ``ms`` are deterministic for a given sweep; ``ms``
     is wall-clock and varies run to run.
     """
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", newline="") as fh:
-            _write_csv(records, fh)
-    else:
-        _write_csv(records, dest)
-
-
-def _write_csv(records: Iterable[ResolutionReport], fh: IO[str]) -> None:
     writer = csv.writer(fh)
     writer.writerow(_CSV_COLUMNS)
     for rec in records:

@@ -150,6 +150,33 @@ class TestSweep:
         assert "error:" in capsys.readouterr().err
         assert not dest.exists()
 
+    def test_unwritable_csv_fails_before_any_type_is_resolved(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(fujiki_oka.cli, "sweep", lambda **kwargs: calls.append(kwargs))
+        dest = tmp_path / "missing_dir" / "x.csv"
+        assert main(["sweep", "--dim", "3", "--r-max", "20", "--csv", str(dest)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert calls == []
+
+    def test_bad_input_writes_no_csv(self, tmp_path, capsys):
+        fresh, kept = tmp_path / "new.csv", tmp_path / "kept.csv"
+        kept.write_bytes(b"earlier contents\n")
+        for dest in (fresh, kept):
+            assert main(["sweep", "--dim", "1", "--r-max", "5", "--csv", str(dest)]) == 2
+            assert "dimension" in capsys.readouterr().err
+        assert not fresh.exists()
+        assert kept.read_bytes() == b"earlier contents\n"
+
+    def test_interrupt_leaves_no_csv(self, tmp_path, monkeypatch):
+        def interrupted(**kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(fujiki_oka.cli, "sweep", interrupted)
+        dest = tmp_path / "x.csv"
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--dim", "2", "--r-max", "5", "--csv", str(dest)])
+        assert list(tmp_path.iterdir()) == []
+
     def test_cap_is_enforced(self, capsys):
         assert main(["sweep", "--dim", "3", "--r-max", "200"]) == 2
         assert "allow_large" in capsys.readouterr().err
@@ -191,9 +218,14 @@ class TestFamily:
         assert "--k-max" in captured.err
         assert captured.out == ""
 
-    def test_requires_exactly_one_selector(self, capsys):
-        assert main(["family", "plus"]) == 2
-        assert main(["family", "plus", "-k", "1", "--k-max", "2"]) == 2
+    @pytest.mark.parametrize(
+        "selector", [[], ["-k", "1", "--k-max", "2"], ["-k", "0"]], ids=["none", "both", "k0"]
+    )
+    def test_requires_exactly_one_selector(self, selector, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["family", "plus", *selector])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestExport:
@@ -260,6 +292,16 @@ class TestExport:
         assert kept.read_bytes() == b"earlier contents\n"
         assert not fresh.exists()
         assert not dot.exists()
+
+    def test_render_error_keeps_existing_file(self, tmp_path, capsys):
+        # the 4-weight type has no SVG; the existing JSON must keep its bytes
+        svg, kept = tmp_path / "a.svg", tmp_path / "b.json"
+        kept.write_bytes(b"earlier contents\n")
+        argv = ["export", "-r", "101", "-w", "1,2,3,95", "--svg", str(svg), "--json", str(kept)]
+        assert main(argv) == 2
+        assert "3 weights" in capsys.readouterr().err
+        assert not svg.exists()
+        assert kept.read_bytes() == b"earlier contents\n"
 
     def test_requires_some_output(self, capsys):
         assert main(["export", "-r", "12", "-w", "1,2,7"]) == 2

@@ -313,11 +313,3 @@ class TestCsv:
             "true",
         ]
         float(first[10])
-
-    def test_writes_to_path(self, tmp_path):
-        records = sweep(dim=2, r_max=4)
-        dest = tmp_path / "sweep.csv"
-        write_sweep_csv(records, dest)
-        text = dest.read_text()
-        assert text.startswith("r,weights,")
-        assert text.count("\n") == len(records) + 1
