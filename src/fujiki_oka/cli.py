@@ -27,6 +27,7 @@ from .render import (
     fan_json_text,
     fan_to_svg,
     polynomial_json_text,
+    require_cross_section,
     subdivision_tree_dot,
 )
 from .verify import (
@@ -261,9 +262,13 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if not outputs:
         print("error: nothing to export; pass --json/--poly/--svg/--dot", file=sys.stderr)
         return 2
+    # input errors come before any file is opened or the fan is resolved
+    group = _group(args)
+    if args.svg:
+        require_cross_section(group)
     with _output_files([path for path, _ in outputs]) as buffers:
-        fan = build_resolution(_group(args))
-        poly = expand(fan.group.fraction)
+        fan = build_resolution(group)
+        poly = expand(group.fraction)
         for (_, render), buf in zip(outputs, buffers):
             buf.write(render(fan, poly))
     for path, _ in outputs:

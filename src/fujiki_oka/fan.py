@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -46,9 +47,28 @@ _SAMPLE_SPAN = 10**6
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant by Bareiss fraction-free elimination."""
+    """Exact integer determinant of a square matrix.
+
+    Closed forms for 1x1, 2x2 and 3x3, which are every leaf determinant
+    and cofactor minor of a type with at most three weights and every minor
+    of one with four; Bareiss fraction-free elimination for larger
+    matrices.  Raises ``ValueError`` unless every row is as long as the
+    matrix is tall.
+    """
+    n = len(rows)
+    if 1 <= n <= 3:
+        try:
+            if n == 3:
+                (a, b, c), (d, e, f), (g, h, i) = rows
+                return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+            if n == 2:
+                (a, b), (c, d) = rows
+                return a * d - b * c
+            ((a,),) = rows
+            return a
+        except ValueError:
+            raise ValueError("matrix must be square") from None
     m = [list(r) for r in rows]
-    n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("matrix must be square")
     sign = 1
@@ -137,23 +157,27 @@ class GroupType:
         Membership means ``point = r*u + m*a`` for integers u and some m;
         the unit weight pins m, so one congruence test per coordinate does it.
         """
-        if len(point) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {len(point)}")
-        r = self.r
-        a = self.weights
+        frac = self.fraction
+        a = frac.numerators
+        if len(point) != len(a):
+            raise ValueError(f"expected {len(a)} coordinates, got {len(point)}")
+        r = frac.denominator
         m = point[a.index(1)] % r
-        return all((p - m * w) % r == 0 for p, w in zip(point, a))
+        for p, w in zip(point, a):
+            if (p - m * w) % r:
+                return False
+        return True
 
     def primitive(self, point: ScaledPoint) -> ScaledPoint:
         """Smallest lattice point on the ray through ``point``."""
         pt = tuple(point)
-        if all(v == 0 for v in pt):
+        if not any(pt):
             raise ValueError("zero vector spans no ray")
         if not self.contains(pt):
             raise ValueError(f"{pt} is not a lattice point for {self.fraction}")
         g = math.gcd(*pt)
         for k in _divisors_desc(g):
-            cand = tuple(v // k for v in pt)
+            cand = tuple([v // k for v in pt])
             if self.contains(cand):
                 return cand
         return pt
@@ -169,7 +193,8 @@ def discrepancy(point: ScaledPoint, group: GroupType) -> Fraction:
     minus one.  Zero exactly for the crepant rays.
     """
     prim = group.primitive(point)
-    return Fraction(sum(prim) - group.r, group.r)
+    r = group.fraction.denominator
+    return Fraction(sum(prim) - r, r)
 
 
 @dataclass(frozen=True)
@@ -233,7 +258,8 @@ def cone_multiplicity(cone: Cone, group: GroupType) -> int:
     d = det_int(cone.generators)
     if d == 0:
         raise ValueError("degenerate cone has no multiplicity")
-    q, rem = divmod(abs(d), group.r ** (group.n - 1))
+    frac = group.fraction
+    q, rem = divmod(abs(d), frac.denominator ** (len(frac.numerators) - 1))
     if rem:
         raise ValueError(
             f"determinant {d} not divisible by r^(n-1); generators outside the lattice"
@@ -252,18 +278,13 @@ def star_subdivide(cone: Cone, group: GroupType) -> tuple[ScaledPoint, list[Cone
     """
     b = cone.local_type
     s = b.denominator
-    if not b.is_semi_unimodular():
+    nums = b.numerators
+    if 1 not in nums:
         raise ValueError(f"local type {b} has no unit entry")
-    n = b.n
-    total = [0] * n
-    for k, bk in enumerate(b.numerators):
-        if bk:
-            g = cone.generators[k]
-            for j in range(n):
-                total[j] += bk * g[j]
+    gens = cone.generators
     w = []
-    for v in total:
-        q, rem = divmod(v, s)
+    for col in zip(*gens):
+        q, rem = divmod(sum(map(mul, nums, col)), s)
         if rem:
             raise ArithmeticError(f"subdivision point of {cone.word} is not integral")
         w.append(q)
@@ -271,12 +292,12 @@ def star_subdivide(cone: Cone, group: GroupType) -> tuple[ScaledPoint, list[Cone
     if not group.contains(point):
         raise ArithmeticError(f"subdivision point {point} escapes the lattice")
     children = []
-    for k, bk in enumerate(b.numerators):
-        if bk == 0:
-            continue
-        gens = tuple(point if j == k else g for j, g in enumerate(cone.generators))
-        image = b.remainder(k + 1)
-        children.append(Cone(gens, image, cone.word + (k + 1,)))
+    word = cone.word
+    for k, bk in enumerate(nums):
+        if bk:
+            children.append(
+                Cone(gens[:k] + (point,) + gens[k + 1 :], b.remainder(k + 1), word + (k + 1,))
+            )
     return point, children
 
 
@@ -286,10 +307,11 @@ def _is_full_axis(point: ScaledPoint, r: int) -> bool:
 
 
 def _ray_info(point: ScaledPoint, group: GroupType) -> RayInfo:
+    r = group.fraction.denominator
     return RayInfo(
         scaled=point,
-        exceptional=not _is_full_axis(point, group.r),
-        age=Fraction(sum(point), group.r),
+        exceptional=not _is_full_axis(point, r),
+        age=Fraction(sum(point), r),
         discrepancy=discrepancy(point, group),
     )
 

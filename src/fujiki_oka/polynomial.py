@@ -49,9 +49,13 @@ class RemainderPolynomial:
         """Whether every coefficient has age exactly 1.
 
         This is the arithmetic criterion for the associated resolution to
-        be crepant.
+        be crepant.  Age 1 means the numerators sum to the denominator.
         """
-        return all(t.coefficient.age() == 1 for t in self.terms)
+        for t in self.terms:
+            coef = t.coefficient
+            if sum(coef.numerators) != coef.denominator:
+                return False
+        return True
 
     def pretty(self) -> str:
         """One term per line, ``coef * x_{i1} x_{i2} ...``."""
@@ -87,9 +91,10 @@ def expand(root: ProperFraction) -> RemainderPolynomial:
     terms: list[Term] = [Term((), root)]
     for term in terms:
         coef = term.coefficient
-        for i in range(1, coef.n + 1):
+        word = term.word
+        for i in range(1, len(coef.numerators) + 1):
             image = coef.remainder(i)
-            if image is None or image.is_zero():
+            if image is None or image.denominator == 1:
                 continue
-            terms.append(Term(term.word + (i,), image))
+            terms.append(Term(word + (i,), image))
     return RemainderPolynomial(tuple(terms))

@@ -96,22 +96,33 @@ class ProperFraction:
         negated, at position i.  The map's value is infinity when the i-th
         numerator is 0; ``None`` stands for it.  Only defined on
         semi-unimodular fractions.
+
+        The image skips ``__post_init__``: its entries are ``int`` residues
+        in ``[0, pivot)`` over a pivot of at least 1, as many as this
+        fraction has, so it satisfies every invariant by construction.
         """
-        if not 1 <= i <= self.n:
-            raise IndexError(f"index {i} outside 1..{self.n}")
-        if not self.is_semi_unimodular():
+        nums = self.numerators
+        if not 1 <= i <= len(nums):
+            raise IndexError(f"index {i} outside 1..{len(nums)}")
+        if 1 not in nums:
             raise ValueError(f"remainder map undefined: {self} has no unit numerator")
-        pivot = self.numerators[i - 1]
+        pivot = nums[i - 1]
         if pivot == 0:
             return None
         # floor modulus keeps every residue in [0, pivot - 1], including the
         # negated denominator entry
-        nums = tuple(
-            (-self.denominator) % pivot if j == i - 1 else a % pivot
-            for j, a in enumerate(self.numerators)
-        )
-        return ProperFraction(nums, pivot)
+        image = [a % pivot for a in nums]
+        image[i - 1] = (-self.denominator) % pivot
+        return _trusted(tuple(image), pivot)
 
     def __str__(self) -> str:
         return "(%s)/%d" % (",".join(str(a) for a in self.numerators), self.denominator)
 
+
+def _trusted(numerators: tuple[int, ...], denominator: int) -> ProperFraction:
+    """A ``ProperFraction`` built without ``__post_init__``, for values that
+    already hold its invariants."""
+    frac = object.__new__(ProperFraction)
+    object.__setattr__(frac, "numerators", numerators)
+    object.__setattr__(frac, "denominator", denominator)
+    return frac

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 
-from .fan import Fan
+from .fan import Fan, GroupType
 from .polynomial import RemainderPolynomial
 
 
@@ -80,15 +80,21 @@ def _project(point: tuple[int, ...]) -> tuple[float, float]:
     return x, y
 
 
+def require_cross_section(group: GroupType) -> None:
+    """Raise ValueError unless ``group`` has three weights, the only case
+    with the triangle cross-section ``fan_to_svg`` draws."""
+    if group.n != 3:
+        raise ValueError(f"cross-section drawing needs 3 weights, got {group.n}")
+
+
 def fan_to_svg(fan: Fan) -> str:
     """Triangle cross-section of a three-dimensional fan.
 
     Each maximal cone becomes one filled triangle, each ray one dot with
     its scaled coordinates as label.  Only ``n == 3`` has this picture;
-    other dimensions raise ValueError.
+    other dimensions raise ValueError (see ``require_cross_section``).
     """
-    if fan.group.n != 3:
-        raise ValueError(f"cross-section drawing needs 3 weights, got {fan.group.n}")
+    require_cross_section(fan.group)
     size = int(_SVG_SIZE)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '

@@ -303,6 +303,21 @@ class TestExport:
         assert not svg.exists()
         assert kept.read_bytes() == b"earlier contents\n"
 
+    def test_svg_dimension_error_comes_before_resolving(self, tmp_path, capsys, monkeypatch):
+        # the weight count is known from the input: no fan, no file
+        def no_resolution(*args, **kwargs):
+            raise AssertionError("build_resolution called")
+
+        monkeypatch.setattr(fujiki_oka.cli, "build_resolution", no_resolution)
+        for weights in ("1,2", "1,2,3,95"):
+            svg = tmp_path / "x.svg"
+            argv = ["export", "-r", "101", "-w", weights, "--svg", str(svg)]
+            assert main(argv) == 2
+            n = len(weights.split(","))
+            err = capsys.readouterr().err
+            assert err == f"error: cross-section drawing needs 3 weights, got {n}\n"
+            assert list(tmp_path.iterdir()) == []
+
     def test_requires_some_output(self, capsys):
         assert main(["export", "-r", "12", "-w", "1,2,7"]) == 2
         assert "nothing to export" in capsys.readouterr().err

@@ -57,15 +57,32 @@ class TestDeterminant:
         assert det_int([[0, 2, 1], [3, 0, 0], [0, 0, 4]]) == -24
 
     def test_against_permutation_expansion(self):
+        # closed forms for n <= 3, Bareiss above; both past int64
         rng = random.Random(0)
-        for _ in range(200):
-            n = rng.randint(1, 4)
-            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            assert det_int(rows) == det_by_permutations(rows)
+        for n in range(1, 6):
+            for bound in (9, 10**30):
+                for _ in range(40):
+                    rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+                    assert det_int(rows) == det_by_permutations(rows)
+                    assert det_int(tuple(map(tuple, rows))) == det_by_permutations(rows)
 
     def test_rejects_ragged(self):
-        with pytest.raises(ValueError):
-            det_int([[1, 2], [3]])
+        # a wrong row length or row count at each closed-form size and above
+        for rows in (
+            [[1, 2]],
+            [[1], [2]],
+            [[1, 2], [3]],
+            [[1, 2], [3, 4, 5]],
+            [[1, 2, 3], [4, 5, 6]],
+            [[1, 2], [3, 4], [5, 6]],
+            [[1, 2, 3], [4, 5, 6], [7, 8]],
+            [[1, 2, 3], [4, 5, 6], [7, 8, 9, 10]],
+            [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]],
+            [[1, 2, 3], [4, 5, 6], [7, 8, 9], [1, 2, 3]],
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1]],
+        ):
+            with pytest.raises(ValueError, match="square"):
+                det_int(rows)
 
 
 class TestGroupType:

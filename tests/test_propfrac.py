@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 from conftest import semi_unimodular_fractions
-from fujiki_oka import ProperFraction
+from fujiki_oka import ProperFraction, expand
 
 
 class TestConstruction:
@@ -143,3 +143,19 @@ class TestRemainder:
             if image is None:
                 continue
             assert all(0 <= a < image.denominator for a in image.numerators)
+
+    @given(semi_unimodular_fractions())
+    def test_images_equal_their_checked_construction(self, v):
+        # remainder builds images without __post_init__, so each one, and
+        # each image of an image, must be what the checked constructor
+        # makes of the same values, with plain int entries
+        for term in expand(v).terms:
+            coef = term.coefficient
+            for i in range(1, coef.n + 1):
+                image = coef.remainder(i)
+                if image is None:
+                    continue
+                assert image == ProperFraction(image.numerators, image.denominator)
+                assert type(image.numerators) is tuple
+                assert type(image.denominator) is int
+                assert all(type(a) is int for a in image.numerators)
