@@ -98,14 +98,14 @@ def _cofactor_rows(gens: tuple[ScaledPoint, ...]) -> list[tuple[int, ...]]:
     so the sign pattern of ``u_i . p`` over i gives the barycentric signs of p.
     Row i is the signed null direction of the other generators.
     """
-    d = det_int(gens)
+    sign = 1 if det_int(gens) > 0 else -1
     n = len(gens)
-    rows = []
-    for i in range(n):
-        sign = 1 if (d > 0) == (i % 2 == 0) else -1
-        direction = _null_direction(gens[:i] + gens[i + 1 :], n)
-        rows.append(tuple([sign * c for c in direction]))
-    return rows
+    return [
+        tuple(
+            [(-sign if i % 2 else sign) * c for c in _null_direction(gens[:i] + gens[i + 1 :], n)]
+        )
+        for i in range(n)
+    ]
 
 
 def _divisors_desc(g: int) -> list[int]:
@@ -117,7 +117,7 @@ def _divisors_desc(g: int) -> list[int]:
             if k != g // k:
                 large.append(g // k)
         k += 1
-    return large[::-1] + small[::-1]
+    return large + small[::-1]
 
 
 @dataclass(frozen=True)
@@ -175,12 +175,11 @@ class GroupType:
             raise ValueError("zero vector spans no ray")
         if not self.contains(pt):
             raise ValueError(f"{pt} is not a lattice point for {self.fraction}")
-        g = math.gcd(*pt)
-        for k in _divisors_desc(g):
+        # the divisors descend to 1, which pt itself passes
+        for k in _divisors_desc(math.gcd(*pt)):
             cand = tuple([v // k for v in pt])
             if self.contains(cand):
                 return cand
-        return pt
 
     def __str__(self) -> str:
         return f"1/{self.r}({','.join(str(w) for w in self.weights)})"
@@ -388,12 +387,15 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
 
     1. every maximal cone has multiplicity 1 (exact determinants);
     2. every ray is a primitive lattice point;
-    3. ``samples`` pseudo-random rational points strictly inside the
-       positive orthant each land in exactly one cone, or on a face shared
-       by the cones containing it;
+    3. ``samples`` pseudo-random integer points in ``[1, 10**6]^n``, strictly
+       inside the positive orthant, each land in exactly one cone, or on a
+       face shared by the cones containing it;
     4. any two maximal cones intersect in a common face.  A linear-time
        facet certificate proves this for the whole fan at once; only when
        it fails does the pairwise check run, to name the bad pairs.
+
+    The certificate also proves coverage, so with ``samples=0`` coverage
+    passes exactly when the certificate holds: no samples are no evidence.
 
     The sample stream is drawn from a seeded generator, so results are
     reproducible; the same seed always tests the same points.  A maximal
@@ -426,7 +428,7 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
         bad_multiplicities=bad_mults,
         rays_ok=not bad_rays,
         bad_rays=tuple(bad_rays),
-        coverage_ok=uncovered == 0 and overlapping == 0 and gaps == 0,
+        coverage_ok=(samples > 0 or certified) and uncovered == overlapping == gaps == 0,
         uncovered=uncovered,
         overlapping=overlapping,
         boundary_gaps=gaps,
@@ -569,17 +571,15 @@ def _pair_face_enumerate(gens_c, normals_c, normals_d, shared, n) -> bool:
 
 
 def _dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _null_direction(vs, n):
     """Integer spanning vector of the common kernel of n-1 row vectors (n >= 2)."""
-    comps = []
-    for k in range(n):
-        minor = [[v[b] for b in range(n) if b != k] for v in vs]
-        d = det_int(minor)
-        comps.append(-d if k % 2 else d)
-    return tuple(comps) if any(comps) else None
+    comps = tuple(
+        [(-1 if k % 2 else 1) * det_int([v[:k] + v[k + 1 :] for v in vs]) for k in range(n)]
+    )
+    return comps if any(comps) else None
 
 
 # ---------------------------------------------------------------------------

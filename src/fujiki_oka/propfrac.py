@@ -20,12 +20,12 @@ from fractions import Fraction
 
 def _as_int(value: object, message: str) -> int:
     """``operator.index(value)``, refusing bools, which Python counts as ints."""
-    if isinstance(value, bool):
-        raise ValueError(f"{message}, got {value!r}")
     try:
-        return operator.index(value)
+        if type(value) is not bool:
+            return operator.index(value)
     except TypeError:
-        raise ValueError(f"{message}, got {value!r}") from None
+        pass
+    raise ValueError(f"{message}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -43,26 +43,18 @@ class ProperFraction:
 
     def __post_init__(self) -> None:
         nums = tuple(self.numerators)
-        object.__setattr__(self, "numerators", nums)
         if len(nums) < 2:
             raise ValueError("need at least two numerators")
-        r = self.denominator
-        if type(r) is not int:
-            r = _as_int(r, "denominator must be a positive integer")
-            object.__setattr__(self, "denominator", r)
+        r = _as_int(self.denominator, "denominator must be a positive integer")
         if r < 1:
             raise ValueError(f"denominator must be a positive integer, got {r!r}")
-        for a in nums:
-            if type(a) is not int or not 0 <= a < r:
-                break
-        else:
-            return
-        # slow path, off the hot loop: integer-likes such as numpy integers
-        nums = tuple(_as_int(a, "numerator must be an integer") for a in nums)
+        # integer-likes such as numpy integers become plain ints
+        nums = tuple([_as_int(a, "numerator must be an integer") for a in nums])
         for a in nums:
             if not 0 <= a < r:
                 raise ValueError(f"numerator {a!r} outside [0, {r - 1}]")
         object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "denominator", r)
 
     @property
     def n(self) -> int:

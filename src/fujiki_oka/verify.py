@@ -314,5 +314,5 @@ def summarize(records: Sequence[ResolutionReport]) -> dict:
         "crepant": sum(1 for rec in records if rec.crepant),
         "gorenstein": sum(1 for rec in records if rec.gorenstein),
         "all_ok": not failures,
-        "failures": [f"1/{rec.r}{rec.weights}" for rec in failures[:10]],
+        "failures": [str(GroupType.from_weights(rec.r, rec.weights)) for rec in failures[:10]],
     }

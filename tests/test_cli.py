@@ -10,6 +10,7 @@ import pytest
 
 import fujiki_oka.cli
 import fujiki_oka.fan
+import fujiki_oka.verify
 from fujiki_oka.cli import main
 
 
@@ -123,7 +124,7 @@ class TestVerify:
         assert main(["verify", "-r", "9", "-w", "3,6"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("samples", ["0", "-5"])
+    @pytest.mark.parametrize("samples", ["0", "-5", "abc"])
     def test_sample_count_below_one_is_input_error(self, samples, capsys):
         # zero samples would test no coverage at all and still print [ok]
         with pytest.raises(SystemExit) as exc:
@@ -176,6 +177,22 @@ class TestSweep:
         with pytest.raises(KeyboardInterrupt):
             main(["sweep", "--dim", "2", "--r-max", "5", "--csv", str(dest)])
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_record_exits_one(self, monkeypatch, capsys):
+        real = fujiki_oka.verify.measure_type
+
+        def measure(group):
+            rec = real(group)
+            if group.weights == (1, 2):
+                return dataclasses.replace(rec, euler=rec.euler + 1)
+            return rec
+
+        monkeypatch.setattr(fujiki_oka.verify, "measure_type", measure)
+        assert main(["sweep", "--dim", "2", "--r-max", "6"]) == 1
+        out = capsys.readouterr().out
+        assert "all identities hold" not in out
+        # the same label as GroupType's
+        assert out.splitlines()[-1] == "FAILURES: 1/3(1,2), 1/4(1,2), 1/5(1,2), 1/6(1,2)"
 
     def test_cap_is_enforced(self, capsys):
         assert main(["sweep", "--dim", "3", "--r-max", "200"]) == 2

@@ -51,6 +51,11 @@ class TestDeterminant:
     def test_singular(self):
         assert det_int([[1, 2], [2, 4]]) == 0
         assert det_int([[0, 0], [1, 1]]) == 0
+        # Bareiss finds no nonzero pivot in a column and stops at 0: the
+        # first column here, the second after one elimination step below
+        assert det_int([[0, 1, 2, 3], [0, 4, 5, 6], [0, 7, 8, 9], [0, 1, 1, 1]]) == 0
+        rows = [[1, 2, 3, 4, 5], [2, 4, 1, 0, 3], [3, 6, 2, 2, 1], [1, 2, 5, 3, 3], [4, 8, 1, 1, 2]]
+        assert det_int(rows) == 0
 
     def test_needs_pivot_swap(self):
         assert det_int([[0, 1], [1, 0]]) == -1
@@ -119,9 +124,23 @@ class TestGroupType:
     def test_primitive(self):
         g = GroupType.from_weights(12, (1, 2, 7))
         assert g.primitive((2, 4, 14)) == (1, 2, 7)
+        # gcd 6 has the divisors 2 and 3, which give lattice points too
+        assert g.primitive((6, 12, 42)) == (1, 2, 7)
         assert g.primitive((24, 0, 0)) == (12, 0, 0)
         assert g.primitive((6, 0, 6)) == (6, 0, 6)
         assert g.primitive((2, 4, 2)) == (2, 4, 2)
+
+    def test_multiples_of_every_ray(self):
+        # primitive must try the divisors of the gcd largest first
+        for r in range(2, 13):
+            for frac in all_semi_unimodular(3, r):
+                group = GroupType(frac)
+                for ray in build_resolution(group).rays:
+                    p = ray.scaled
+                    for k in range(1, 13):
+                        kp = tuple(k * v for v in p)
+                        assert group.primitive(kp) == p, (group, p, k)
+                        assert discrepancy(kp, group) == ray.discrepancy, (group, p, k)
 
     def test_primitive_rejects_bad_input(self):
         g = GroupType.from_weights(12, (1, 2, 7))
@@ -134,6 +153,7 @@ class TestGroupType:
         g = GroupType.from_weights(12, (1, 2, 7))
         assert discrepancy((6, 0, 6), g) == 0
         assert discrepancy((1, 2, 7), g) == Fraction(-1, 6)
+        assert discrepancy((6, 12, 42), g) == Fraction(-1, 6)
         assert discrepancy((2, 4, 2), g) == Fraction(-1, 3)
         assert discrepancy((7, 2, 1), g) == Fraction(-1, 6)
         assert discrepancy((12, 0, 0), g) == 0
@@ -306,6 +326,16 @@ class TestValidateFan:
         assert v.uncovered > 0
         assert not v.coverage_ok
         assert not v.faces_certified
+
+    def test_zero_samples_rest_on_the_certificate(self):
+        fan = self.golden()
+        v = validate_fan(fan, samples=0)
+        assert v.faces_certified and v.coverage_ok
+        # nothing sampled and nothing certified is no evidence of coverage
+        v = validate_fan(replace(fan, max_cones=fan.max_cones[1:]), samples=0)
+        assert not v.faces_certified
+        assert not v.coverage_ok
+        assert not v.passed
 
     def test_detects_duplicate_cone(self):
         fan = self.golden()

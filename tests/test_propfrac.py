@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from conftest import semi_unimodular_fractions
 from fujiki_oka import ProperFraction, expand
@@ -144,6 +144,9 @@ class TestRemainder:
                 continue
             assert all(0 <= a < image.denominator for a in image.numerators)
 
+    # a fraction of order near 60 expands to ~10^4 terms, so one example can
+    # take longer than hypothesis's default deadline on a loaded host
+    @settings(deadline=None)
     @given(semi_unimodular_fractions())
     def test_images_equal_their_checked_construction(self, v):
         # remainder builds images without __post_init__, so each one, and

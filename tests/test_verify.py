@@ -2,7 +2,7 @@
 
 import io
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
@@ -100,6 +100,17 @@ class TestCompare2D:
                 assert last.ok, f"disagreement at r={r}, weights ({a},1): {last}"
                 assert (last.r, last.a, last.expansion) == (r, a, first.expansion)
                 assert sorted(last.exceptional_rays) == sorted(first.exceptional_rays)
+
+    def test_detects_ray_off_the_hull(self):
+        fan = build_resolution(GroupType.from_weights(5, (1, 2)))
+        # (2, 4) spans the same ray as (1, 2) but lies above the lower hull
+        moved = tuple(
+            replace(ray, scaled=(2, 4)) if ray.scaled == (1, 2) else ray for ray in fan.rays
+        )
+        cmp2 = compare_2d(replace(fan, rays=moved))
+        assert cmp2.count_matches and cmp2.euler_matches and cmp2.round_trip
+        assert not cmp2.rays_on_hull
+        assert not cmp2.ok
 
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
