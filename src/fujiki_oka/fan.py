@@ -216,10 +216,28 @@ class Cone:
 
 @dataclass(frozen=True)
 class RayInfo:
+    """One ray of a fan, with its exact invariants kept as integers.
+
+    ``scaled`` is the generator as the fan holds it, ``r`` the group order
+    and ``height`` the sum of the primitive generator's coordinates minus r,
+    so the ray is crepant exactly when ``height`` is 0.  ``age`` and
+    ``discrepancy`` build their ``Fraction`` when read.
+    """
+
     scaled: ScaledPoint
     exceptional: bool
-    age: Fraction
-    discrepancy: Fraction
+    r: int
+    height: int
+
+    @property
+    def age(self) -> Fraction:
+        """Sum of the scaled coordinates divided by r."""
+        return Fraction(sum(self.scaled), self.r)
+
+    @property
+    def discrepancy(self) -> Fraction:
+        """Height of the primitive generator divided by r."""
+        return Fraction(self.height, self.r)
 
 
 @dataclass(frozen=True)
@@ -244,7 +262,7 @@ class Fan:
 
     def is_crepant(self) -> bool:
         """True when every exceptional ray has discrepancy zero."""
-        return all(ray.discrepancy == 0 for ray in self.rays if ray.exceptional)
+        return all(ray.height == 0 for ray in self.rays if ray.exceptional)
 
 
 def cone_multiplicity(cone: Cone, group: GroupType) -> int:
@@ -310,8 +328,8 @@ def _ray_info(point: ScaledPoint, group: GroupType) -> RayInfo:
     return RayInfo(
         scaled=point,
         exceptional=not _is_full_axis(point, r),
-        age=Fraction(sum(point), r),
-        discrepancy=discrepancy(point, group),
+        r=r,
+        height=sum(group.primitive(point)) - r,
     )
 
 
@@ -648,30 +666,34 @@ def resolution_report(
     seed: int = DEFAULT_SEED,
     validate: bool = True,
 ) -> tuple[ResolutionReport, Fan]:
-    """Resolve, expand, cross-check, and bundle the results.
+    """Resolve, cross-check, and bundle the results.
 
     The Euler characteristic comes from counting cones of the geometric
-    construction; the size and total height come from the purely arithmetic
-    expansion.  Leaf multiplicities come from ``validate_fan`` when
-    validating and are computed directly otherwise, never twice.
+    construction.  The size, total height and age-one test are read from
+    the remainder polynomial's coefficients: when validating, from a
+    separate ``expand``; otherwise from the local types of the fan's
+    non-smooth nodes, which are those coefficients, so the subdivision
+    tree is walked once.  Leaf multiplicities come from ``validate_fan``
+    when validating and are computed directly otherwise, never twice.
     """
     t0 = time.perf_counter()
     fan = build_resolution(group)
-    poly = expand(group.fraction)
     if validate:
+        coefficients = [t.coefficient for t in expand(group.fraction).terms]
         validation = validate_fan(fan, samples=samples, seed=seed)
         smooth = validation.multiplicity_ok
     else:
+        coefficients = [c.local_type for c in fan.nodes if not c.is_smooth_type()]
         validation = None
         smooth = all(cone_multiplicity(c, group) == 1 for c in fan.max_cones)
     report = ResolutionReport(
         r=group.r,
         weights=group.weights,
-        size=poly.size(),
-        height=poly.total_height(),
+        size=sum(c.ones() for c in coefficients),
+        height=sum(c.height() for c in coefficients),
         euler=fan.euler,
         smooth_all=smooth,
-        crepant_by_ages=poly.all_ages_one(),
+        crepant_by_ages=all(c.height() == 0 for c in coefficients),
         crepant_by_fan=fan.is_crepant(),
         validation=validation,
         ms=(time.perf_counter() - t0) * 1000.0,

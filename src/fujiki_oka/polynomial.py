@@ -49,13 +49,10 @@ class RemainderPolynomial:
         """Whether every coefficient has age exactly 1.
 
         This is the arithmetic criterion for the associated resolution to
-        be crepant.  Age 1 means the numerators sum to the denominator.
+        be crepant.  Age 1 means the numerators sum to the denominator,
+        that is, height 0.
         """
-        for t in self.terms:
-            coef = t.coefficient
-            if sum(coef.numerators) != coef.denominator:
-                return False
-        return True
+        return all(t.coefficient.height() == 0 for t in self.terms)
 
     def pretty(self) -> str:
         """One term per line, ``coef * x_{i1} x_{i2} ...``."""

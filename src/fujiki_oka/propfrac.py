@@ -78,7 +78,7 @@ class ProperFraction:
 
     def ones(self) -> int:
         """Number of numerator entries equal to 1."""
-        return sum(1 for a in self.numerators if a == 1)
+        return self.numerators.count(1)
 
     def remainder(self, i: int) -> "ProperFraction | None":
         """Apply the i-th remainder map (i is 1-based).

@@ -10,12 +10,13 @@ import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
 import fujiki_oka.fan as fan_mod
-from conftest import all_semi_unimodular, semi_unimodular_fractions
+from conftest import all_semi_unimodular, oracle_expand, semi_unimodular_fractions
 from fujiki_oka import (
     Cone,
     Fan,
     GroupType,
     ProperFraction,
+    RayInfo,
     build_resolution,
     cone_multiplicity,
     det_int,
@@ -25,6 +26,25 @@ from fujiki_oka import (
     star_subdivide,
     validate_fan,
 )
+
+
+# every type the exhaustive cross-checks below walk through
+SMALL_ORDERS = ((2, 30), (3, 12), (4, 5))
+
+
+def small_types():
+    for dim, r_max in SMALL_ORDERS:
+        for r in range(2, r_max + 1):
+            for frac in all_semi_unimodular(dim, r):
+                yield GroupType(frac)
+
+
+def interior_nodes(fan):
+    """word -> (numerators, denominator) of every non-smooth node."""
+    nodes = [c for c in fan.nodes if not c.is_smooth_type()]
+    table = {c.word: (c.local_type.numerators, c.local_type.denominator) for c in nodes}
+    assert len(table) == len(nodes)
+    return table
 
 
 def det_by_permutations(rows):
@@ -299,6 +319,34 @@ class TestBuildResolution:
         assert fan.euler == poly.size() == poly.total_height() + g.r
         for ray in fan.rays:
             assert g.primitive(ray.scaled) == ray.scaled
+
+    def test_interior_nodes_are_the_expansion(self):
+        # the sweep reads S, h and the age test from these nodes; the nodes
+        # come depth-first and the oracle's terms breadth-first
+        for g in small_types():
+            v = g.fraction
+            expected = oracle_expand(v.numerators, v.denominator)
+            assert interior_nodes(build_resolution(g)) == expected, g
+
+    @settings(max_examples=100, deadline=None)
+    @given(semi_unimodular_fractions())
+    def test_interior_nodes_match_the_oracle(self, v):
+        expected = oracle_expand(v.numerators, v.denominator)
+        assert interior_nodes(build_resolution(GroupType(v))) == expected
+
+
+class TestRayInfo:
+    def test_integer_data_reads_as_before(self):
+        for r in range(2, 13):
+            for frac in all_semi_unimodular(3, r):
+                group = GroupType(frac)
+                for ray in build_resolution(group).rays:
+                    assert ray.r == r
+                    assert ray.age == Fraction(sum(ray.scaled), r)
+                    assert ray.discrepancy == discrepancy(ray.scaled, group)
+                    moved = replace(ray, scaled=tuple(2 * v for v in ray.scaled))
+                    assert isinstance(moved, RayInfo)
+                    assert moved.height == ray.height
 
 
 class TestValidateFan:
@@ -637,3 +685,12 @@ class TestResolutionReport:
         report, _ = resolution_report(g, validate=False)
         assert report.validation is None
         assert report.ok
+
+    def test_both_modes_agree(self):
+        # S, h and the age test come from expand when validating and from
+        # the fan's interior nodes otherwise
+        for g in small_types():
+            fast, _ = resolution_report(g, validate=False)
+            full, _ = resolution_report(g, samples=1, validate=True)
+            for field in ("size", "height", "crepant_by_ages", "crepant_by_fan"):
+                assert getattr(fast, field) == getattr(full, field), (g, field)

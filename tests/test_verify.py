@@ -185,6 +185,15 @@ class TestMeasure:
         poly = expand(g.fraction)
         assert check_identities(fan, poly) == (True, True, True)
 
+    def test_record_makes_no_expansion(self, monkeypatch):
+        # a sweep record reads S and h from the fan it already built
+        def no_expand(root):
+            raise AssertionError(f"expand({root}) called")
+
+        monkeypatch.setattr(fan_mod, "expand", no_expand)
+        rec = measure_type(GroupType.from_weights(12, (1, 2, 7)))
+        assert (rec.size, rec.height, rec.crepant_by_ages) == (8, -4, False)
+
     def test_record_golden(self):
         rec = measure_type(GroupType.from_weights(12, (1, 2, 7)))
         assert rec.r == 12
