@@ -3,7 +3,9 @@ Sweep every semi-unimodular 3D type up to a modest order and confirm the
 three identities numerically: S = h + r, chi = S, chi = h + r.
 
 Also writes the full table to sweep_3d.csv for inspection.  The ms column
-is wall clock per type; everything else is deterministic.
+is wall clock per type: the full resolution for the first type of each
+weight-permutation orbit, only the leaf determinants for the others.
+Everything else is deterministic.
 """
 
 import pathlib

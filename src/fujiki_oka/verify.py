@@ -16,8 +16,9 @@ from __future__ import annotations
 import csv
 import math
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from typing import IO, Iterable, Sequence
@@ -27,6 +28,7 @@ from .fan import (
     GroupType,
     ResolutionReport,
     ScaledPoint,
+    det_int,
     resolution_report,
 )
 from .polynomial import RemainderPolynomial
@@ -34,6 +36,11 @@ from .polynomial import RemainderPolynomial
 # sweeping every type grows like r_max**dim; refuse silly requests unless
 # the caller explicitly opts in
 _SWEEP_CAP = 1_000_000
+
+# While a _sweep_block runs: sorted weights -> (report, leaf generators) of
+# the first type of that weight-permutation orbit it resolved.  None outside
+# a sweep, so every other call of measure_type resolves in full.
+_orbit_memo: dict[tuple[int, ...], tuple[ResolutionReport, list]] | None = None
 
 
 def check_identities(fan: Fan, poly: RemainderPolynomial) -> tuple[bool, bool, bool]:
@@ -198,8 +205,44 @@ def family_type(name: str, k: int) -> GroupType:
 
 
 def measure_type(group: GroupType) -> ResolutionReport:
-    """Resolve one type without sampled validation: one sweep record."""
-    return resolution_report(group, validate=False)[0]
+    """Resolve one type without sampled validation: one sweep record.
+
+    Inside a sweep, only the first type of each weight-permutation orbit of
+    an order is resolved in full.  Permuting the weights permutes the
+    coordinates of the whole construction, so every other member takes S,
+    h, the Euler characteristic and both crepancy flags from that first
+    record, and its ``smooth_all`` from one exact determinant per leaf of
+    the first member's fan with the coordinates permuted to its own
+    weights; its ``ms`` times only that determinant pass.  Outside a sweep
+    every call resolves in full.
+    """
+    memo = _orbit_memo
+    if memo is None:
+        return resolution_report(group, validate=False)[0]
+    weights = group.weights
+    key = tuple(sorted(weights))
+    hit = memo.get(key)
+    if hit is None:
+        report, fan = resolution_report(group, validate=False)
+        memo[key] = (report, [c.generators for c in fan.max_cones])
+        return report
+    t0 = time.perf_counter()
+    first, leaves = hit
+    # slot i of this type holds the weight of slot perm[i] of the first
+    slots: dict[int, list[int]] = {}
+    for j, w in enumerate(first.weights):
+        slots.setdefault(w, []).append(j)
+    perm = [slots[w].pop() for w in weights]
+    unit = group.r ** (group.n - 1)
+    smooth = all(
+        abs(det_int([[g[j] for j in perm] for g in gens])) == unit for gens in leaves
+    )
+    return replace(
+        first,
+        weights=weights,
+        smooth_all=smooth,
+        ms=(time.perf_counter() - t0) * 1000.0,
+    )
 
 
 def _weights_for(r: int, dim: int, gorenstein_only: bool):
@@ -212,11 +255,16 @@ def _weights_for(r: int, dim: int, gorenstein_only: bool):
 
 
 def _sweep_block(args: tuple[int, int, bool]) -> list[ResolutionReport]:
+    global _orbit_memo
     r, dim, gorenstein_only = args
-    return [
-        measure_type(GroupType.from_weights(r, w))
-        for w in _weights_for(r, dim, gorenstein_only)
-    ]
+    _orbit_memo = {}
+    try:
+        return [
+            measure_type(GroupType.from_weights(r, w))
+            for w in _weights_for(r, dim, gorenstein_only)
+        ]
+    finally:
+        _orbit_memo = None
 
 
 def sweep(
@@ -231,6 +279,9 @@ def sweep(
     """Resolve every semi-unimodular type with the given dimension and order
     range, in deterministic (r, weights) order.
 
+    Within each order, the first type of every weight-permutation orbit is
+    resolved in full and the others reuse its fan (see ``measure_type``),
+    each still paying for its own leaf determinants.
     ``crepant_only`` filters the output; the types are still all resolved.
     ``jobs`` distributes whole orders across processes, at most one per
     order and per CPU.  Requests whose raw product-space size
@@ -241,9 +292,12 @@ def sweep(
         raise ValueError(f"dimension must be at least 2, got {dim}")
     if r_min < 2 or r_max < r_min:
         raise ValueError(f"need 2 <= r_min <= r_max, got [{r_min}, {r_max}]")
-    if r_max**dim > _SWEEP_CAP and not allow_large:
+    # r_max >= 2, so from dimension 20 on the product space exceeds the cap
+    # and r_max**dim, which can be too large to compute, is never formed
+    if not allow_large and (dim >= 20 or r_max**dim > _SWEEP_CAP):
         raise ValueError(
-            f"sweep spans about {r_max ** dim:,} weight tuples; "
+            f"sweep spans r_max**dim = {r_max}**{dim} weight tuples, "
+            f"more than {_SWEEP_CAP:,}; "
             "pass allow_large=True (--allow-large) if that is intentional"
         )
     blocks = [(r, dim, gorenstein_only) for r in range(r_min, r_max + 1)]

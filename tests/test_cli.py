@@ -5,6 +5,7 @@ import hashlib
 import json
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -197,6 +198,15 @@ class TestSweep:
     def test_cap_is_enforced(self, capsys):
         assert main(["sweep", "--dim", "3", "--r-max", "200"]) == 2
         assert "allow_large" in capsys.readouterr().err
+
+    def test_cap_decides_a_huge_dimension_at_once(self, capsys):
+        # 3**100000000 is never computed, nor formatted into the message
+        start = time.perf_counter()
+        assert main(["sweep", "--dim", "100000000", "--r-max", "3"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert "allow_large" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_jobs_below_one_is_input_error(self, jobs, capsys):

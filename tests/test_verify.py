@@ -2,6 +2,8 @@
 
 import io
 import math
+import time
+from collections import defaultdict
 from dataclasses import asdict, replace
 from fractions import Fraction
 
@@ -233,9 +235,12 @@ class TestSweep:
         assert len(keys) == len(set(keys))
 
     def test_process_pool_matches_serial(self):
-        serial = sweep(dim=2, r_max=8)
-        parallel = sweep(dim=2, r_max=8, jobs=2)
-        assert [_strip_ms(a) for a in serial] == [_strip_ms(b) for b in parallel]
+        # in three dimensions the workers also meet orbits of three
+        # distinct weights, which each worker resolves once
+        for dim, r_max in [(2, 8), (3, 7)]:
+            serial = sweep(dim=dim, r_max=r_max)
+            parallel = sweep(dim=dim, r_max=r_max, jobs=2)
+            assert [_strip_ms(a) for a in serial] == [_strip_ms(b) for b in parallel]
 
     def test_pool_size_is_capped(self, monkeypatch):
         # the pool starts all its workers at once; a fake one only records
@@ -299,6 +304,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(dim=1, r_max=5)
 
+    @pytest.mark.parametrize("dim", [20, 100_000, 100_000_000])
+    def test_size_cap_decides_huge_dimensions_at_once(self, dim):
+        # r_max >= 2, so 2**20 already exceeds the cap; the power is never
+        # computed, and the message names it without writing its digits
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"3\*\*{dim} weight tuples.*allow_large"):
+            sweep(dim=dim, r_max=3)
+        assert time.perf_counter() - start < 1.0
+
     def test_summarize(self):
         records = sweep(dim=2, r_max=6)
         stats = summarize(records)
@@ -306,6 +320,103 @@ class TestSweep:
         assert stats["all_ok"]
         assert stats["failures"] == []
         assert stats["crepant"] == sum(1 for rec in records if rec.crepant)
+
+
+def _orbit_members(dim: int, r_max: int):
+    """Every type with the given dimension and r <= r_max, each with the
+    first type of its weight-permutation orbit in sweep order."""
+    for r in range(2, r_max + 1):
+        first = {}
+        for weights in verify_mod._weights_for(r, dim, False):
+            yield r, weights, first.setdefault(tuple(sorted(weights)), weights)
+
+
+def _permuted_leaves(fan, weights):
+    """The leaves of ``fan`` with coordinates moved to the slots that hold
+    the same weights in ``weights``, as a set of generator sets."""
+    slots = defaultdict(list)
+    for j, w in enumerate(fan.group.weights):
+        slots[w].append(j)
+    perm = [slots[w].pop() for w in weights]
+    return {
+        frozenset(tuple(g[j] for j in perm) for g in cone.generators)
+        for cone in fan.max_cones
+    }
+
+
+_ORBIT_RANGES = [(2, 30), (3, 12), (4, 6)]
+
+
+class TestOrbits:
+    """A sweep resolves the first type of each weight-permutation orbit and
+    gives the others its S, h, euler and crepancy; these tests resolve every
+    permuted type in full and compare."""
+
+    @pytest.mark.parametrize("dim, r_max", _ORBIT_RANGES)
+    def test_records_equal_full_resolves(self, dim, r_max):
+        records = sweep(dim=dim, r_max=r_max)
+        assert len(records) == sum(1 for _ in _orbit_members(dim, r_max))
+        for rec in records:
+            group = GroupType.from_weights(rec.r, rec.weights)
+            full = fan_mod.resolution_report(group, validate=False)[0]
+            assert _strip_ms(rec) == _strip_ms(full)
+
+    @pytest.mark.parametrize("dim, r_max", _ORBIT_RANGES)
+    def test_leaves_are_the_first_members_permuted(self, dim, r_max):
+        fans = {}
+        for r, weights, first in _orbit_members(dim, r_max):
+            if (r, first) not in fans:
+                fans[r, first] = build_resolution(GroupType.from_weights(r, first))
+            own = build_resolution(GroupType.from_weights(r, weights))
+            leaves = {frozenset(cone.generators) for cone in own.max_cones}
+            assert leaves == _permuted_leaves(fans[r, first], weights)
+
+    def test_each_type_pays_for_its_own_leaves(self, monkeypatch):
+        calls = []
+        real = fan_mod.det_int
+
+        def counted(rows):
+            calls.append(1)
+            return real(rows)
+
+        monkeypatch.setattr(fan_mod, "det_int", counted)
+        monkeypatch.setattr(verify_mod, "det_int", counted)
+        records = sweep(dim=3, r_min=9, r_max=9)
+        assert len(records) > len({tuple(sorted(rec.weights)) for rec in records})
+        assert len(calls) >= sum(rec.euler for rec in records)
+
+    def test_standalone_measure_resolves_in_full(self, monkeypatch):
+        builds = []
+        real = fan_mod.build_resolution
+        monkeypatch.setattr(fan_mod, "build_resolution", lambda g: builds.append(g) or real(g))
+        assert len(sweep(dim=2, r_min=5, r_max=5)) == 9
+        swept = len(builds)
+        assert swept == 5  # one per orbit: (0, 1), (1, 1), (1, 2), (1, 3), (1, 4)
+        measure_type(GroupType.from_weights(5, (1, 2)))
+        measure_type(GroupType.from_weights(5, (2, 1)))
+        assert len(builds) == swept + 2
+
+    def test_failed_sweep_leaves_no_orbits_behind(self, monkeypatch):
+        builds = []
+        real = fan_mod.build_resolution
+
+        def fails_on_the_fourth(group):
+            builds.append(group)
+            if len(builds) == 4:
+                raise RuntimeError("build failed")
+            return real(group)
+
+        # builds (0, 1), (1, 1), (1, 2), then fails on (1, 3)
+        monkeypatch.setattr(fan_mod, "build_resolution", fails_on_the_fourth)
+        with pytest.raises(RuntimeError, match="build failed"):
+            sweep(dim=2, r_min=7, r_max=7)
+        assert [g.weights for g in builds] == [(0, 1), (1, 1), (1, 2), (1, 3)]
+        assert verify_mod._orbit_memo is None
+        # the sweep had the orbit of (1, 2); standalone, (2, 1) resolves anew
+        monkeypatch.setattr(fan_mod, "build_resolution", lambda g: builds.append(g) or real(g))
+        rec = measure_type(GroupType.from_weights(7, (2, 1)))
+        assert [g.weights for g in builds[4:]] == [(2, 1)]
+        assert rec.smooth_all
 
 
 class TestCsv:
