@@ -4,7 +4,7 @@ three identities numerically: S = h + r, chi = S, chi = h + r.
 
 Also writes the full table to sweep_3d.csv for inspection.  The ms column
 is wall clock per type: the full resolution for the first type of each
-weight-permutation orbit, only the leaf determinants for the others.
+weight-permutation orbit, only the lookup of that record for the others.
 Everything else is deterministic.
 """
 

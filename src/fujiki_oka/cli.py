@@ -239,7 +239,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    ks = [args.k] if args.k is not None else list(range(1, args.k_max + 1))
+    ks = [args.k] if args.k is not None else range(1, args.k_max + 1)
     ok = True
     for k in ks:
         group = family_type(args.name, k)

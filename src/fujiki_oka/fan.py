@@ -15,10 +15,10 @@ everywhere-smooth fan.
 
 No floating point enters any geometric decision.  Validation settles
 coverage and faces on the cofactor rows of the maximal cones: samples by
-one numpy matmul (int64 while a magnitude guard says the products fit,
-Python ints past it), faces by a linear-time pseudo-manifold certificate,
-or, when it fails, by the pairwise check in integers, which names the
-offending pairs.
+numpy matmuls over blocks of samples (int64 while a magnitude guard says
+the products fit, Python ints past it), faces by a linear-time
+pseudo-manifold certificate, or, when it fails, by the pairwise check in
+integers, which names the offending pairs.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ ScaledPoint = tuple[int, ...]
 
 # sample coordinates are drawn from [1, _SAMPLE_SPAN]
 _SAMPLE_SPAN = 10**6
+# most entries of one (cones, n, samples) coverage product
+_COVERAGE_BUDGET = 2**20
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -416,10 +418,12 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
     passes exactly when the certificate holds: no samples are no evidence.
 
     The sample stream is drawn from a seeded generator, so results are
-    reproducible; the same seed always tests the same points.  A maximal
-    cone on linearly dependent generators (two equal ones, say), or whose
-    determinant r^(n-1) does not divide (a generator outside the lattice),
-    raises ``ValueError``.
+    reproducible; the same seed always tests the same points.  Samples are
+    tested in blocks whose product with the cones' cofactor rows holds at
+    most ``_COVERAGE_BUDGET`` entries, so memory stays bounded however many
+    cones and samples there are.  A maximal cone on linearly dependent
+    generators (two equal ones, say), or whose determinant r^(n-1) does not
+    divide (a generator outside the lattice), raises ``ValueError``.
     """
     group = fan.group
 
@@ -471,14 +475,15 @@ def _check_coverage(
     max_normal = max((abs(v) for rows in normals for u in rows for v in u), default=0)
     dtype = np.int64 if max_normal * _SAMPLE_SPAN * n < 2**62 else object
     mat = np.array(normals, dtype=dtype)  # (cones, n, n)
-    lam = mat @ pts.astype(dtype)
-    covered = (lam >= 0).all(axis=1)
-    strict = (lam > 0).all(axis=1)
-    cov = covered.sum(axis=0)
-    stc = strict.sum(axis=0)
-    uncovered = int((cov == 0).sum())
-    overlapping = int(((cov >= 2) & (stc >= 1)).sum())
-    gaps = int(((cov == 1) & (stc == 0)).sum())
+    block = max(1, _COVERAGE_BUDGET // (len(normals) * n))
+    uncovered = overlapping = gaps = 0
+    for start in range(0, samples, block):
+        lam = mat @ pts[:, start : start + block].astype(dtype)
+        cov = (lam >= 0).all(axis=1).sum(axis=0)
+        stc = (lam > 0).all(axis=1).sum(axis=0)
+        uncovered += int((cov == 0).sum())
+        overlapping += int(((cov >= 2) & (stc >= 1)).sum())
+        gaps += int(((cov == 1) & (stc == 0)).sum())
     return uncovered, overlapping, gaps
 
 

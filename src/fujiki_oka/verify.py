@@ -28,7 +28,6 @@ from .fan import (
     GroupType,
     ResolutionReport,
     ScaledPoint,
-    det_int,
     resolution_report,
 )
 from .polynomial import RemainderPolynomial
@@ -37,10 +36,10 @@ from .polynomial import RemainderPolynomial
 # the caller explicitly opts in
 _SWEEP_CAP = 1_000_000
 
-# While a _sweep_block runs: sorted weights -> (report, leaf generators) of
-# the first type of that weight-permutation orbit it resolved.  None outside
-# a sweep, so every other call of measure_type resolves in full.
-_orbit_memo: dict[tuple[int, ...], tuple[ResolutionReport, list]] | None = None
+# While a _sweep_block runs: sorted weights -> the report of the first type
+# of that weight-permutation orbit it resolved.  None outside a sweep, so
+# every other call of measure_type resolves in full.
+_orbit_memo: dict[tuple[int, ...], ResolutionReport] | None = None
 
 
 def check_identities(fan: Fan, poly: RemainderPolynomial) -> tuple[bool, bool, bool]:
@@ -208,41 +207,25 @@ def measure_type(group: GroupType) -> ResolutionReport:
     """Resolve one type without sampled validation: one sweep record.
 
     Inside a sweep, only the first type of each weight-permutation orbit of
-    an order is resolved in full.  Permuting the weights permutes the
-    coordinates of the whole construction, so every other member takes S,
-    h, the Euler characteristic and both crepancy flags from that first
-    record, and its ``smooth_all`` from one exact determinant per leaf of
-    the first member's fan with the coordinates permuted to its own
-    weights; its ``ms`` times only that determinant pass.  Outside a sweep
-    every call resolves in full.
+    an order is resolved in full.  Permuting the weights conjugates the
+    group by a permutation matrix, which permutes the coordinates of the
+    whole construction: S, h, the Euler characteristic and both crepancy
+    flags are unchanged, and every leaf matrix only has its columns
+    permuted, so |det| and with it ``smooth_all`` are unchanged too.  Every
+    other member therefore copies the first member's record under its own
+    weights; its ``ms`` times only the lookup.  Outside a sweep every call
+    resolves in full.
     """
     memo = _orbit_memo
     if memo is None:
         return resolution_report(group, validate=False)[0]
-    weights = group.weights
-    key = tuple(sorted(weights))
-    hit = memo.get(key)
-    if hit is None:
-        report, fan = resolution_report(group, validate=False)
-        memo[key] = (report, [c.generators for c in fan.max_cones])
-        return report
     t0 = time.perf_counter()
-    first, leaves = hit
-    # slot i of this type holds the weight of slot perm[i] of the first
-    slots: dict[int, list[int]] = {}
-    for j, w in enumerate(first.weights):
-        slots.setdefault(w, []).append(j)
-    perm = [slots[w].pop() for w in weights]
-    unit = group.r ** (group.n - 1)
-    smooth = all(
-        abs(det_int([[g[j] for j in perm] for g in gens])) == unit for gens in leaves
-    )
-    return replace(
-        first,
-        weights=weights,
-        smooth_all=smooth,
-        ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    key = tuple(sorted(group.weights))
+    first = memo.get(key)
+    if first is None:
+        memo[key] = first = resolution_report(group, validate=False)[0]
+        return first
+    return replace(first, weights=group.weights, ms=(time.perf_counter() - t0) * 1000.0)
 
 
 def _weights_for(r: int, dim: int, gorenstein_only: bool):
@@ -280,8 +263,8 @@ def sweep(
     range, in deterministic (r, weights) order.
 
     Within each order, the first type of every weight-permutation orbit is
-    resolved in full and the others reuse its fan (see ``measure_type``),
-    each still paying for its own leaf determinants.
+    resolved in full and the others copy its record under their own weights
+    (see ``measure_type``).
     ``crepant_only`` filters the output; the types are still all resolved.
     ``jobs`` distributes whole orders across processes, at most one per
     order and per CPU.  Requests whose raw product-space size

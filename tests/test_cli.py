@@ -6,6 +6,7 @@ import json
 import shutil
 import subprocess
 import time
+import tracemalloc
 
 import pytest
 
@@ -235,6 +236,26 @@ class TestFamily:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 3
         assert all(line.startswith("[ok]") for line in out)
+
+    def test_long_range_resolves_as_it_goes(self, monkeypatch, capsys):
+        real = fujiki_oka.cli.family_type
+
+        def refuses_the_third(name, k):
+            if k == 3:
+                raise ValueError("member 3 refused")
+            return real(name, k)
+
+        monkeypatch.setattr(fujiki_oka.cli, "family_type", refuses_the_third)
+        tracemalloc.start()
+        try:
+            code = main(["family", "plus", "--k-max", "1000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        # a list of all million members alone would take tens of MB
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("k_max", ["0", "-3"])
     def test_empty_range_is_input_error(self, k_max, capsys):

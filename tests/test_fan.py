@@ -1,6 +1,7 @@
 """Unit tests for the lattice, subdivision, and validation machinery."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -209,6 +210,16 @@ class TestSubdivision:
         for cone in star_subdivide(self.root, self.group)[1]:
             assert cone_multiplicity(cone, self.group) == cone.local_type.denominator
 
+    def test_non_integral_point_is_refused(self):
+        cone = Cone(self.axes, ProperFraction((1, 1, 0), 5), ())
+        with pytest.raises(ArithmeticError, match="not integral"):
+            star_subdivide(cone, self.group)
+
+    def test_point_outside_the_lattice_is_refused(self):
+        cone = Cone(self.axes, ProperFraction((1, 1, 1), 2), ())
+        with pytest.raises(ArithmeticError, match=r"\(6, 6, 6\) escapes the lattice"):
+            star_subdivide(cone, self.group)
+
     def test_smooth_cone_refuses_subdivision(self):
         _, kids = star_subdivide(self.root, self.group)
         with pytest.raises(ValueError):
@@ -412,6 +423,13 @@ class TestValidateFan:
         v = validate_fan(broken)
         assert not v.rays_ok
 
+    def test_ray_the_lattice_check_refuses_is_bad(self):
+        fan = self.golden()
+        broken = replace(fan, rays=fan.rays + (RayInfo((0, 0, 0), True, 12, 0),))
+        v = validate_fan(broken)
+        assert not v.rays_ok
+        assert v.bad_rays == ((0, 0, 0),)
+
     def test_detects_engulfing_cone(self):
         g = GroupType.from_weights(2, (1, 1))
         fan = build_resolution(g)
@@ -577,6 +595,33 @@ class TestExactCoverage:
         dropped = validate_fan(replace(fan, max_cones=fan.max_cones[1:]))
         assert dropped.uncovered > 0
         assert not dropped.coverage_ok
+
+    @pytest.mark.parametrize("budget", [3 * 7, 3 * 64, 3 * 999])
+    def test_sample_blocks_give_the_same_counts(self, budget, monkeypatch):
+        # a budget below cones * n * samples splits the samples into blocks,
+        # the last one short; the counts must add up to the one-block ones
+        fan = TestValidateFan().golden()
+        fans = [
+            fan,
+            replace(fan, max_cones=fan.max_cones[1:]),
+            replace(fan, max_cones=fan.max_cones + fan.max_cones[:2]),
+        ]
+        whole = [coverage_counts(f) for f in fans]
+        monkeypatch.setattr(fan_mod, "_COVERAGE_BUDGET", budget)
+        assert [coverage_counts(f) for f in fans] == whole
+        assert [coverage_counts(f, 2**45) for f in fans] == whole
+
+    def test_memory_is_bounded_in_samples_times_cones(self):
+        fan = build_resolution(GroupType.from_weights(3001, (1, 2, 2998)))
+        tracemalloc.start()
+        try:
+            v = validate_fan(fan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.passed and len(fan.max_cones) == 3001
+        # one (cones, n, samples) product alone would be 3001 * 3 * 1000 int64s
+        assert peak < 40 * 2**20
 
 
 @st.composite

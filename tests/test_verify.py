@@ -349,7 +349,7 @@ _ORBIT_RANGES = [(2, 30), (3, 12), (4, 6)]
 
 class TestOrbits:
     """A sweep resolves the first type of each weight-permutation orbit and
-    gives the others its S, h, euler and crepancy; these tests resolve every
+    gives the others a copy of its record; these tests resolve every
     permuted type in full and compare."""
 
     @pytest.mark.parametrize("dim, r_max", _ORBIT_RANGES)
@@ -371,7 +371,7 @@ class TestOrbits:
             leaves = {frozenset(cone.generators) for cone in own.max_cones}
             assert leaves == _permuted_leaves(fans[r, first], weights)
 
-    def test_each_type_pays_for_its_own_leaves(self, monkeypatch):
+    def test_only_first_members_pay_for_leaves(self, monkeypatch):
         calls = []
         real = fan_mod.det_int
 
@@ -379,11 +379,14 @@ class TestOrbits:
             calls.append(1)
             return real(rows)
 
-        monkeypatch.setattr(fan_mod, "det_int", counted)
-        monkeypatch.setattr(verify_mod, "det_int", counted)
+        for mod in (fan_mod, verify_mod):
+            if hasattr(mod, "det_int"):
+                monkeypatch.setattr(mod, "det_int", counted)
         records = sweep(dim=3, r_min=9, r_max=9)
-        assert len(records) > len({tuple(sorted(rec.weights)) for rec in records})
-        assert len(calls) >= sum(rec.euler for rec in records)
+        firsts = [rec for rec in records if rec.weights == tuple(sorted(rec.weights))]
+        assert len(records) > len(firsts)
+        # one determinant per leaf of each orbit's first fan, none for a copy
+        assert len(calls) == sum(rec.euler for rec in firsts)
 
     def test_standalone_measure_resolves_in_full(self, monkeypatch):
         builds = []
