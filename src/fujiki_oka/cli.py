@@ -99,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-min", type=int, default=2, help="smallest order")
     p.add_argument("--gorenstein", action="store_true", help="weight sums divisible by r only")
     p.add_argument("--crepant-only", action="store_true", help="report crepant types only")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     p.add_argument("--csv", metavar="PATH", help="write records as CSV")
     p.add_argument("--allow-large", action="store_true", help="lift the size cap")
 
@@ -126,7 +125,15 @@ def _output_files(paths: list[str]):
     Append mode empties nothing while the work runs, so on any exception the
     files created here are removed and the others keep their bytes.  Once
     the work returns, each file is truncated and given its buffer's text.
+    Two paths naming one file would keep only the last text, so they raise
+    ``ValueError`` before any file is opened.
     """
+    seen: dict[str, str] = {}
+    for path in paths:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"{seen[real]!r} and {path!r} name the same file")
+        seen[real] = path
     handles = []
     try:
         for path in paths:
@@ -219,7 +226,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             r_min=args.r_min,
             gorenstein_only=args.gorenstein,
             crepant_only=args.crepant_only,
-            jobs=args.jobs,
             allow_large=args.allow_large,
         )
         for buf in buffers:

@@ -46,6 +46,8 @@ ScaledPoint = tuple[int, ...]
 _SAMPLE_SPAN = 10**6
 # most entries of one (cones, n, samples) coverage product
 _COVERAGE_BUDGET = 2**20
+# most entries of the (n, samples) int64 sample array: 256 MB
+_SAMPLE_BUDGET = 2**25
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -423,9 +425,15 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
     most ``_COVERAGE_BUDGET`` entries, so memory stays bounded however many
     cones and samples there are.  A maximal cone on linearly dependent
     generators (two equal ones, say), or whose determinant r^(n-1) does not
-    divide (a generator outside the lattice), raises ``ValueError``.
+    divide (a generator outside the lattice), raises ``ValueError``, and so
+    does a request for more than ``_SAMPLE_BUDGET`` sample coordinates.
     """
     group = fan.group
+    if group.n * samples > _SAMPLE_BUDGET:
+        raise ValueError(
+            f"{samples} samples in dimension {group.n} exceed the bound of "
+            f"{_SAMPLE_BUDGET:,} sample coordinates"
+        )
 
     mults = [cone_multiplicity(c, group) for c in fan.max_cones]
     bad_mults = tuple(sorted({m for m in mults if m != 1}))

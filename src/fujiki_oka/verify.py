@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
@@ -36,9 +34,9 @@ from .polynomial import RemainderPolynomial
 # the caller explicitly opts in
 _SWEEP_CAP = 1_000_000
 
-# While a _sweep_block runs: sorted weights -> the report of the first type
-# of that weight-permutation orbit it resolved.  None outside a sweep, so
-# every other call of measure_type resolves in full.
+# While a sweep runs: (r, sorted weights) -> the report of the first type of
+# that weight-permutation orbit it resolved.  None outside a sweep, so every
+# other call of measure_type resolves in full.
 _orbit_memo: dict[tuple[int, ...], ResolutionReport] | None = None
 
 
@@ -220,34 +218,12 @@ def measure_type(group: GroupType) -> ResolutionReport:
     if memo is None:
         return resolution_report(group, validate=False)[0]
     t0 = time.perf_counter()
-    key = tuple(sorted(group.weights))
+    key = (group.r, *sorted(group.weights))
     first = memo.get(key)
     if first is None:
         memo[key] = first = resolution_report(group, validate=False)[0]
         return first
     return replace(first, weights=group.weights, ms=(time.perf_counter() - t0) * 1000.0)
-
-
-def _weights_for(r: int, dim: int, gorenstein_only: bool):
-    for weights in product(range(r), repeat=dim):
-        if 1 not in weights:
-            continue
-        if gorenstein_only and sum(weights) % r != 0:
-            continue
-        yield weights
-
-
-def _sweep_block(args: tuple[int, int, bool]) -> list[ResolutionReport]:
-    global _orbit_memo
-    r, dim, gorenstein_only = args
-    _orbit_memo = {}
-    try:
-        return [
-            measure_type(GroupType.from_weights(r, w))
-            for w in _weights_for(r, dim, gorenstein_only)
-        ]
-    finally:
-        _orbit_memo = None
 
 
 def sweep(
@@ -256,21 +232,19 @@ def sweep(
     r_min: int = 2,
     gorenstein_only: bool = False,
     crepant_only: bool = False,
-    jobs: int = 1,
     allow_large: bool = False,
 ) -> list[ResolutionReport]:
     """Resolve every semi-unimodular type with the given dimension and order
-    range, in deterministic (r, weights) order.
+    range, in deterministic (r, weights) order, in this process.
 
     Within each order, the first type of every weight-permutation orbit is
     resolved in full and the others copy its record under their own weights
-    (see ``measure_type``).
-    ``crepant_only`` filters the output; the types are still all resolved.
-    ``jobs`` distributes whole orders across processes, at most one per
-    order and per CPU.  Requests whose raw product-space size
-    ``r_max ** dim`` exceeds a million are refused unless ``allow_large``
-    is set.
+    (see ``measure_type``); the memo of first records lives for this call
+    only.  ``crepant_only`` filters the output; the types are still all
+    resolved.  Requests whose raw product-space size ``r_max ** dim``
+    exceeds a million are refused unless ``allow_large`` is set.
     """
+    global _orbit_memo
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
     if r_min < 2 or r_max < r_min:
@@ -283,15 +257,16 @@ def sweep(
             f"more than {_SWEEP_CAP:,}; "
             "pass allow_large=True (--allow-large) if that is intentional"
         )
-    blocks = [(r, dim, gorenstein_only) for r in range(r_min, r_max + 1)]
-    # the pool starts every worker at once, so never ask for idle ones
-    workers = min(jobs, len(blocks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_block, blocks))
-    else:
-        results = [_sweep_block(b) for b in blocks]
-    records = [rec for block in results for rec in block]
+    _orbit_memo = {}
+    try:
+        records = [
+            measure_type(GroupType.from_weights(r, w))
+            for r in range(r_min, r_max + 1)
+            for w in product(range(r), repeat=dim)
+            if 1 in w and not (gorenstein_only and sum(w) % r)
+        ]
+    finally:
+        _orbit_memo = None
     if crepant_only:
         records = [rec for rec in records if rec.crepant]
     return records

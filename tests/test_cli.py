@@ -136,6 +136,19 @@ class TestVerify:
         assert "--samples" in captured.err
         assert "PASS" not in captured.out
 
+    def test_huge_sample_count_is_input_error(self, monkeypatch, capsys):
+        # refused before any sample is drawn; the stub keeps a regression
+        # from allocating gigabytes
+        def no_draw(seed):
+            raise RuntimeError("samples drawn")
+
+        monkeypatch.setattr(fujiki_oka.fan.np.random, "default_rng", no_draw)
+        argv = ["verify", "-r", "12", "-w", "1,2,7", "--samples", "1000000000"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "sample coordinates" in captured.err
+        assert "PASS" not in captured.out
+
 
 class TestSweep:
     def test_writes_csv(self, tmp_path, capsys):
@@ -209,9 +222,9 @@ class TestSweep:
         assert "allow_large" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    @pytest.mark.parametrize("jobs", ["0", "-4", "1", "2"])
     def test_jobs_below_one_is_input_error(self, jobs, capsys):
-        # it would run serially and exit 0 as if the value were valid
+        # a sweep runs in one process; --jobs is not an option of any value
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--dim", "2", "--r-max", "6", "--jobs", jobs])
         assert exc.value.code == 2
@@ -340,6 +353,26 @@ class TestExport:
         assert kept.read_bytes() == b"earlier contents\n"
         assert not fresh.exists()
         assert not dot.exists()
+
+    def test_one_path_for_two_artifacts_is_input_error(self, tmp_path, monkeypatch, capsys):
+        # each artifact would empty the file before writing its own text
+        kept = tmp_path / "kept.txt"
+        kept.write_bytes(b"earlier contents\n")
+        fresh = tmp_path / "fresh.txt"
+        monkeypatch.chdir(tmp_path)
+        for first, second in [
+            (str(kept), str(kept)),
+            (str(fresh), str(fresh)),
+            (str(kept), "kept.txt"),
+            (str(tmp_path / "sub" / ".." / "fresh.txt"), "./fresh.txt"),
+        ]:
+            argv = ["export", "-r", "12", "-w", "1,2,7", "--json", first, "--dot", second]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "name the same file" in captured.err
+            assert captured.out == ""
+        assert kept.read_bytes() == b"earlier contents\n"
+        assert list(tmp_path.iterdir()) == [kept]
 
     def test_render_error_keeps_existing_file(self, tmp_path, capsys):
         # the 4-weight type has no SVG; the existing JSON must keep its bytes

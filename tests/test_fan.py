@@ -535,6 +535,22 @@ class TestValidateFan:
         assert v.samples == 64
         assert v.passed
 
+    def test_sample_request_is_bounded(self, monkeypatch):
+        # a stub generator fails the test before anything is drawn, so an
+        # unbounded request is never allocated
+        def no_draw(seed):
+            raise RuntimeError("samples drawn")
+
+        monkeypatch.setattr(fan_mod.np.random, "default_rng", no_draw)
+        fan = self.golden()
+        most = fan_mod._SAMPLE_BUDGET // 3
+        with pytest.raises(ValueError, match="bound of 33,554,432 sample coordinates"):
+            validate_fan(fan, samples=most + 1)
+        with pytest.raises(ValueError, match="bound"):
+            validate_fan(fan, samples=10**9)
+        with pytest.raises(RuntimeError, match="samples drawn"):
+            validate_fan(fan, samples=most)
+
     def test_malformed_cones_raise(self):
         # a flat cone has no multiplicity, and a determinant r^(n-1) does
         # not divide puts a generator outside the lattice: both are errors

@@ -2,6 +2,9 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import defaultdict
 from dataclasses import asdict, replace
@@ -12,6 +15,7 @@ import pytest
 import fujiki_oka.cli as cli_mod
 import fujiki_oka.fan as fan_mod
 import fujiki_oka.verify as verify_mod
+from conftest import all_semi_unimodular
 from fujiki_oka import (
     GroupType,
     build_resolution,
@@ -234,46 +238,20 @@ class TestSweep:
         assert keys == sorted(keys)
         assert len(keys) == len(set(keys))
 
-    def test_process_pool_matches_serial(self):
-        # in three dimensions the workers also meet orbits of three
-        # distinct weights, which each worker resolves once
-        for dim, r_max in [(2, 8), (3, 7)]:
-            serial = sweep(dim=dim, r_max=r_max)
-            parallel = sweep(dim=dim, r_max=r_max, jobs=2)
-            assert [_strip_ms(a) for a in serial] == [_strip_ms(b) for b in parallel]
-
-    def test_pool_size_is_capped(self, monkeypatch):
-        # the pool starts all its workers at once; a fake one only records
-        # how many were asked for, so no process is ever started here
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 4)
-        huge = 10**9
-        assert len(sweep(dim=2, r_min=5, r_max=5, jobs=huge)) == 9
-        assert sizes == []  # one order runs in-process
-        serial = sweep(dim=2, r_max=8)
-        pooled = sweep(dim=2, r_max=8, jobs=huge)
-        assert [_strip_ms(a) for a in pooled] == [_strip_ms(b) for b in serial]
-        assert sizes == [4]  # seven orders, four CPUs
-        sweep(dim=2, r_min=2, r_max=4, jobs=huge)
-        assert sizes == [4, 3]  # three orders
-        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: None)
-        sweep(dim=2, r_max=8, jobs=huge)
-        assert sizes == [4, 3]  # CPU count unknown: in-process
+    def test_import_loads_no_process_pool(self):
+        # a sweep runs in the calling process; a fresh interpreter shows
+        # what importing the package loads
+        src = os.path.dirname(os.path.dirname(verify_mod.__file__))
+        code = "import sys, fujiki_oka; print('multiprocessing' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_counts(self):
         # weight tuples containing a 1: r^2 - (r-1)^2 of them per order
@@ -327,7 +305,8 @@ def _orbit_members(dim: int, r_max: int):
     first type of its weight-permutation orbit in sweep order."""
     for r in range(2, r_max + 1):
         first = {}
-        for weights in verify_mod._weights_for(r, dim, False):
+        for frac in all_semi_unimodular(dim, r):
+            weights = frac.numerators
             yield r, weights, first.setdefault(tuple(sorted(weights)), weights)
 
 
@@ -395,6 +374,10 @@ class TestOrbits:
         assert len(sweep(dim=2, r_min=5, r_max=5)) == 9
         swept = len(builds)
         assert swept == 5  # one per orbit: (0, 1), (1, 1), (1, 2), (1, 3), (1, 4)
+        # orbits never span two orders: r=5 again, and r=6 with (1, 5)
+        assert len(sweep(dim=2, r_min=5, r_max=6)) == 9 + 11
+        assert len(builds) == swept + 5 + 6
+        swept = len(builds)
         measure_type(GroupType.from_weights(5, (1, 2)))
         measure_type(GroupType.from_weights(5, (2, 1)))
         assert len(builds) == swept + 2
