@@ -21,7 +21,7 @@ for i in range(1, v.n + 1):
     image = v.remainder(i)
     if image is None:
         print(f"  R_{i}: no finite image (weight 0)")
-    elif image.is_zero():
+    elif image.denominator == 1:
         print(f"  R_{i}: collapses to zero (weight 1)")
     else:
         print(f"  R_{i}: {image}")

@@ -54,7 +54,7 @@ print(f"independent validation: {'pass' if check.passed else 'FAIL'}")
 print()
 
 here = pathlib.Path(__file__).resolve().parent
-(here / "fan.json").write_text(fan_json_text(fan, poly))
+(here / "fan.json").write_text(fan_json_text(fan))
 (here / "fan.svg").write_text(fan_to_svg(fan))
 (here / "tree.dot").write_text(subdivision_tree_dot(fan))
 print(f"wrote fan.json, fan.svg, tree.dot to {here}")

@@ -18,7 +18,6 @@ from .fan import (
     build_resolution,
     cone_multiplicity,
     det_int,
-    discrepancy,
     resolution_report,
     star_subdivide,
     validate_fan,
@@ -64,7 +63,6 @@ __all__ = [
     "compare_2d",
     "cone_multiplicity",
     "det_int",
-    "discrepancy",
     "expand",
     "family_type",
     "fan_json_text",

@@ -260,9 +260,9 @@ def _cmd_family(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     outputs = [
         (args.json, fan_json_text),
-        (args.poly, lambda fan, poly: polynomial_json_text(poly)),
-        (args.svg, lambda fan, poly: fan_to_svg(fan)),
-        (args.dot, lambda fan, poly: subdivision_tree_dot(fan)),
+        (args.poly, lambda fan: polynomial_json_text(expand(fan.group.fraction))),
+        (args.svg, fan_to_svg),
+        (args.dot, subdivision_tree_dot),
     ]
     outputs = [(path, render) for path, render in outputs if path]
     if not outputs:
@@ -274,9 +274,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
         require_cross_section(group)
     with _output_files([path for path, _ in outputs]) as buffers:
         fan = build_resolution(group)
-        poly = expand(group.fraction)
         for (_, render), buf in zip(outputs, buffers):
-            buf.write(render(fan, poly))
+            buf.write(render(fan))
     for path, _ in outputs:
         print(f"wrote {path}")
     return 0

@@ -11,7 +11,8 @@ The resolution algorithm repeatedly star-subdivides a cone at the point
 named by its local type (a proper fraction recording the quotient geometry
 the cone still carries) and hands each child the matching remainder image.
 Denominators strictly decrease, so the process terminates with an
-everywhere-smooth fan.
+everywhere-smooth fan, and the local types of the non-smooth nodes are the
+remainder polynomial's coefficients (``Fan.interior_types``).
 
 No floating point enters any geometric decision.  Validation settles
 coverage and faces on the cofactor rows of the maximal cones: samples by
@@ -189,17 +190,6 @@ class GroupType:
         return f"1/{self.r}({','.join(str(w) for w in self.weights)})"
 
 
-def discrepancy(point: ScaledPoint, group: GroupType) -> Fraction:
-    """Discrepancy of the divisor on the ray through ``point``.
-
-    Equals the height of the primitive generator divided by r, i.e. its age
-    minus one.  Zero exactly for the crepant rays.
-    """
-    prim = group.primitive(point)
-    r = group.fraction.denominator
-    return Fraction(sum(prim) - r, r)
-
-
 @dataclass(frozen=True)
 class Cone:
     """A simplicial cone tagged with the quotient data it still carries.
@@ -263,6 +253,12 @@ class Fan:
     def euler(self) -> int:
         """Euler characteristic: one per maximal cone (torus fixed points)."""
         return len(self.max_cones)
+
+    @property
+    def interior_types(self) -> tuple[ProperFraction, ...]:
+        """Local types of the non-smooth nodes, depth-first: for a full
+        resolution, the coefficients of the type's remainder polynomial."""
+        return tuple(c.local_type for c in self.nodes if not c.is_smooth_type())
 
     def is_crepant(self) -> bool:
         """True when every exceptional ray has discrepancy zero."""
@@ -426,9 +422,11 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
     cones and samples there are.  A maximal cone on linearly dependent
     generators (two equal ones, say), or whose determinant r^(n-1) does not
     divide (a generator outside the lattice), raises ``ValueError``, and so
-    does a request for more than ``_SAMPLE_BUDGET`` sample coordinates.
+    do ``samples < 0`` and more than ``_SAMPLE_BUDGET`` sample coordinates.
     """
     group = fan.group
+    if samples < 0:
+        raise ValueError(f"sample count must be at least 0, got {samples}")
     if group.n * samples > _SAMPLE_BUDGET:
         raise ValueError(
             f"{samples} samples in dimension {group.n} exceed the bound of "
@@ -473,8 +471,8 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
 def _check_coverage(
     fan: Fan, normals: list, samples: int, seed: int
 ) -> tuple[int, int, int]:
-    if not fan.max_cones or samples <= 0:
-        return (samples if samples > 0 else 0, 0, 0)
+    if not fan.max_cones or samples == 0:
+        return (samples, 0, 0)
     n = fan.group.n
     rng = np.random.default_rng(seed)
     pts = rng.integers(1, _SAMPLE_SPAN + 1, size=(n, samples), dtype=np.int64)
@@ -684,10 +682,10 @@ def resolution_report(
     The Euler characteristic comes from counting cones of the geometric
     construction.  The size, total height and age-one test are read from
     the remainder polynomial's coefficients: when validating, from a
-    separate ``expand``; otherwise from the local types of the fan's
-    non-smooth nodes, which are those coefficients, so the subdivision
-    tree is walked once.  Leaf multiplicities come from ``validate_fan``
-    when validating and are computed directly otherwise, never twice.
+    separate ``expand``; otherwise from ``fan.interior_types``, the same
+    fractions, so the subdivision tree is walked once.  Leaf multiplicities
+    come from ``validate_fan`` when validating and are computed directly
+    otherwise, never twice.
     """
     t0 = time.perf_counter()
     fan = build_resolution(group)
@@ -696,7 +694,7 @@ def resolution_report(
         validation = validate_fan(fan, samples=samples, seed=seed)
         smooth = validation.multiplicity_ok
     else:
-        coefficients = [c.local_type for c in fan.nodes if not c.is_smooth_type()]
+        coefficients = fan.interior_types
         validation = None
         smooth = all(cone_multiplicity(c, group) == 1 for c in fan.max_cones)
     report = ResolutionReport(

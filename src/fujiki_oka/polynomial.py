@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 from .propfrac import ProperFraction
 
-Word = tuple[int, ...]
-
 
 @dataclass(frozen=True)
 class Term:
-    word: Word
+    word: tuple[int, ...]
     coefficient: ProperFraction
 
     def __str__(self) -> str:
@@ -45,15 +43,6 @@ class RemainderPolynomial:
         """Total count of numerator entries equal to 1 across all terms."""
         return sum(t.coefficient.ones() for t in self.terms)
 
-    def all_ages_one(self) -> bool:
-        """Whether every coefficient has age exactly 1.
-
-        This is the arithmetic criterion for the associated resolution to
-        be crepant.  Age 1 means the numerators sum to the denominator,
-        that is, height 0.
-        """
-        return all(t.coefficient.height() == 0 for t in self.terms)
-
     def pretty(self) -> str:
         """One term per line, ``coef * x_{i1} x_{i2} ...``."""
         return "\n".join(str(t) for t in self.terms)
@@ -68,9 +57,6 @@ class RemainderPolynomial:
             }
             for t in self.terms
         ]
-
-    def __str__(self) -> str:
-        return self.pretty()
 
 
 def expand(root: ProperFraction) -> RemainderPolynomial:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def _as_int(value: object, message: str) -> int:
@@ -64,17 +63,9 @@ class ProperFraction:
         """True when some numerator equals 1 (in any position)."""
         return 1 in self.numerators
 
-    def is_zero(self) -> bool:
-        """True for the all-zero fraction over denominator 1."""
-        return self.denominator == 1
-
     def height(self) -> int:
         """Sum of the numerators minus the denominator."""
         return sum(self.numerators) - self.denominator
-
-    def age(self) -> Fraction:
-        """Sum of the numerators divided by the denominator, exactly."""
-        return Fraction(sum(self.numerators), self.denominator)
 
     def ones(self) -> int:
         """Number of numerator entries equal to 1."""

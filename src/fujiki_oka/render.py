@@ -1,9 +1,9 @@
 """Serialization of fans: JSON, SVG cross-sections, DOT subdivision trees.
 
-Every renderer is a pure function from data to text, with fixed key order
-and fixed numeric formatting, so identical inputs produce byte-identical
-output.  Exact rationals are emitted as strings ("-1/6", "0", "1") rather
-than floats.
+Every fan renderer is a pure function of the fan alone, and the polynomial
+JSON of the polynomial alone, with fixed key order and fixed numeric
+formatting, so identical inputs produce byte-identical output.  Exact
+rationals are emitted as strings ("-1/6", "0", "1") rather than floats.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ from .fan import Fan, GroupType
 from .polynomial import RemainderPolynomial
 
 
-def fan_to_json(fan: Fan, poly: RemainderPolynomial) -> dict:
+def fan_to_json(fan: Fan) -> dict:
     """JSON-ready summary of a fan and its arithmetic cross-checks.
 
     Cones reference rays by index into the ``rays`` array; the size and
-    total height come from ``poly``, the expansion of the fan's group type.
+    total height are summed over the fan's ``interior_types``.
     """
     index = {ray.scaled: i for i, ray in enumerate(fan.rays)}
+    types = fan.interior_types
     return {
         "group": {"r": fan.group.r, "weights": list(fan.group.weights)},
         "rays": [
@@ -42,14 +43,14 @@ def fan_to_json(fan: Fan, poly: RemainderPolynomial) -> dict:
             for cone in fan.max_cones
         ],
         "euler": fan.euler,
-        "height_total": poly.total_height(),
-        "size": poly.size(),
+        "height_total": sum(t.height() for t in types),
+        "size": sum(t.ones() for t in types),
         "crepant": fan.is_crepant(),
     }
 
 
-def fan_json_text(fan: Fan, poly: RemainderPolynomial) -> str:
-    return json.dumps(fan_to_json(fan, poly), indent=2) + "\n"
+def fan_json_text(fan: Fan) -> str:
+    return json.dumps(fan_to_json(fan), indent=2) + "\n"
 
 
 def polynomial_json_text(poly: RemainderPolynomial) -> str:

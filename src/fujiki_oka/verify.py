@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import IO, Iterable, Sequence
 
 from .fan import (
@@ -88,7 +88,7 @@ def hj_evaluate(entries: Sequence[int]) -> Fraction:
     return value
 
 
-def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
+def _lower_hull(points: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     # monotone chain, exact arithmetic; input sorted by x with distinct x
     hull: list[tuple[int, int]] = []
     for p in points:
@@ -142,8 +142,10 @@ def compare_2d(fan: Fan) -> Comparison2D:
     ray sits on the lower convex hull of the nonzero lattice points of the
     quadrant, and that the expansion folds back to r/a.  The fan may come
     from either weight order, 1/r(1, a) or 1/r(a, 1); rays are compared in
-    unit-first coordinates.  Raises ``ValueError`` unless the fan is
-    two-dimensional with 0 < a < r and gcd(r, a) = 1.
+    unit-first coordinates.  The r + 1 hull candidates are streamed, so the
+    time is O(r) and only the hull's vertices are kept.  Raises
+    ``ValueError`` unless the fan is two-dimensional with 0 < a < r and
+    gcd(r, a) = 1.
     """
     group = fan.group
     if group.n != 2:
@@ -159,7 +161,7 @@ def compare_2d(fan: Fan) -> Comparison2D:
         if ray.exceptional
     )
 
-    candidates = [(0, r)] + [(x, (a * x) % r) for x in range(1, r)] + [(r, 0)]
+    candidates = chain([(0, r)], ((x, (a * x) % r) for x in range(1, r)), [(r, 0)])
     hull = _lower_hull(candidates)
 
     return Comparison2D(

@@ -323,6 +323,30 @@ class TestExport:
         assert svg.count("<polygon") == 8
         assert paths["dot"].read_text().startswith("digraph")
 
+    def test_only_the_polynomial_is_expanded(self, tmp_path, monkeypatch, capsys):
+        # the fan renderers read S and h from the fan itself, so an expand
+        # that raises leaves their bytes as they were; --poly expands once
+        real = fujiki_oka.cli.expand
+        calls = []
+
+        def expand(root):
+            calls.append(root)
+            assert poly, "expand called"
+            return real(root)
+
+        monkeypatch.setattr(fujiki_oka.cli, "expand", expand)
+        for order, weights, command, digest in GOLDEN_OUTPUT:
+            if not command.startswith("export"):
+                continue
+            flag = command.split()[1]
+            poly = flag == "--poly"
+            calls.clear()
+            dest = tmp_path / "out"
+            code = main(["export", "-r", order, "-w", weights, flag, str(dest)])
+            text = dest.read_text()
+            assert hashlib.sha256(f"{code}\n{text}".encode()).hexdigest() == digest
+            assert len(calls) == poly, command
+
     def test_bad_input_writes_no_file(self, tmp_path, capsys):
         # the SVG needs three weights; the JSON must not be written either
         fan_json, svg = tmp_path / "a.json", tmp_path / "b.svg"

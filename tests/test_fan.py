@@ -21,7 +21,6 @@ from fujiki_oka import (
     build_resolution,
     cone_multiplicity,
     det_int,
-    discrepancy,
     expand,
     resolution_report,
     star_subdivide,
@@ -45,6 +44,8 @@ def interior_nodes(fan):
     nodes = [c for c in fan.nodes if not c.is_smooth_type()]
     table = {c.word: (c.local_type.numerators, c.local_type.denominator) for c in nodes}
     assert len(table) == len(nodes)
+    # the accessor that sweep records and the fan JSON read
+    assert fan.interior_types == tuple(c.local_type for c in nodes)
     return table
 
 
@@ -161,7 +162,6 @@ class TestGroupType:
                     for k in range(1, 13):
                         kp = tuple(k * v for v in p)
                         assert group.primitive(kp) == p, (group, p, k)
-                        assert discrepancy(kp, group) == ray.discrepancy, (group, p, k)
 
     def test_primitive_rejects_bad_input(self):
         g = GroupType.from_weights(12, (1, 2, 7))
@@ -172,12 +172,16 @@ class TestGroupType:
 
     def test_discrepancy_goldens(self):
         g = GroupType.from_weights(12, (1, 2, 7))
-        assert discrepancy((6, 0, 6), g) == 0
-        assert discrepancy((1, 2, 7), g) == Fraction(-1, 6)
-        assert discrepancy((6, 12, 42), g) == Fraction(-1, 6)
-        assert discrepancy((2, 4, 2), g) == Fraction(-1, 3)
-        assert discrepancy((7, 2, 1), g) == Fraction(-1, 6)
-        assert discrepancy((12, 0, 0), g) == 0
+        table = {ray.scaled: ray.discrepancy for ray in build_resolution(g).rays}
+        assert table == {
+            (12, 0, 0): 0,
+            (0, 12, 0): 0,
+            (0, 0, 12): 0,
+            (1, 2, 7): Fraction(-1, 6),
+            (6, 0, 6): 0,
+            (2, 4, 2): Fraction(-1, 3),
+            (7, 2, 1): Fraction(-1, 6),
+        }
 
 
 class TestSubdivision:
@@ -308,8 +312,8 @@ class TestBuildResolution:
         assert info[(1, 0)].exceptional
         assert info[(1, 0)].discrepancy == Fraction(-1, 2)
         assert not fan.is_crepant()
+        assert not resolution_report(g)[0].crepant_by_ages
         poly = expand(g.fraction)
-        assert not poly.all_ages_one()
         assert fan.euler == poly.size() == poly.total_height() + g.r
 
     def test_crepant_gorenstein_chain(self):
@@ -317,7 +321,7 @@ class TestBuildResolution:
         fan = build_resolution(g)
         assert fan.euler == 9
         assert fan.is_crepant()
-        assert expand(g.fraction).all_ages_one()
+        assert resolution_report(g)[0].crepant_by_ages
 
     @settings(max_examples=60, deadline=None)
     @given(semi_unimodular_fractions(max_n=3, max_r=18))
@@ -354,7 +358,8 @@ class TestRayInfo:
                 for ray in build_resolution(group).rays:
                     assert ray.r == r
                     assert ray.age == Fraction(sum(ray.scaled), r)
-                    assert ray.discrepancy == discrepancy(ray.scaled, group)
+                    height = sum(group.primitive(ray.scaled)) - r
+                    assert ray.discrepancy == Fraction(height, r)
                     moved = replace(ray, scaled=tuple(2 * v for v in ray.scaled))
                     assert isinstance(moved, RayInfo)
                     assert moved.height == ray.height
@@ -550,6 +555,12 @@ class TestValidateFan:
             validate_fan(fan, samples=10**9)
         with pytest.raises(RuntimeError, match="samples drawn"):
             validate_fan(fan, samples=most)
+
+    def test_negative_sample_count_is_refused(self):
+        # a negative count tests nothing yet would be reported as the count
+        for samples in (-1, -5):
+            with pytest.raises(ValueError, match=f"at least 0, got {samples}"):
+                validate_fan(self.golden(), samples=samples)
 
     def test_malformed_cones_raise(self):
         # a flat cone has no multiplicity, and a determinant r^(n-1) does

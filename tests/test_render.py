@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import all_semi_unimodular
 from fujiki_oka import (
     GroupType,
     build_resolution,
@@ -23,13 +24,9 @@ def golden_fan():
     return build_resolution(GOLDEN)
 
 
-def golden_poly():
-    return expand(GOLDEN.fraction)
-
-
 class TestJson:
     def test_top_level_key_order(self):
-        data = fan_to_json(golden_fan(), golden_poly())
+        data = fan_to_json(golden_fan())
         assert list(data) == [
             "group",
             "rays",
@@ -43,7 +40,7 @@ class TestJson:
         assert list(data["max_cones"][0]) == ["ray_indices", "word", "multiplicity"]
 
     def test_golden_content(self):
-        data = fan_to_json(golden_fan(), golden_poly())
+        data = fan_to_json(golden_fan())
         assert data["group"] == {"r": 12, "weights": [1, 2, 7]}
         assert data["euler"] == 8
         assert data["height_total"] == -4
@@ -61,14 +58,24 @@ class TestJson:
 
     def test_indices_reference_rays(self):
         fan = golden_fan()
-        data = fan_to_json(fan, golden_poly())
+        data = fan_to_json(fan)
         for cone, entry in zip(fan.max_cones, data["max_cones"]):
             resolved = [tuple(data["rays"][i]["scaled"]) for i in entry["ray_indices"]]
             assert resolved == list(cone.generators)
 
+    def test_size_and_height_are_the_expansion(self):
+        # the fan's interior local types are the polynomial's coefficients
+        for dim, r_max in ((2, 20), (3, 8), (4, 4)):
+            for r in range(2, r_max + 1):
+                for frac in all_semi_unimodular(dim, r):
+                    data = fan_to_json(build_resolution(GroupType(frac)))
+                    poly = expand(frac)
+                    assert data["size"] == poly.size(), frac
+                    assert data["height_total"] == poly.total_height(), frac
+
     def test_text_is_reproducible(self):
-        a = fan_json_text(golden_fan(), golden_poly())
-        b = fan_json_text(golden_fan(), golden_poly())
+        a = fan_json_text(golden_fan())
+        b = fan_json_text(golden_fan())
         assert a == b
         assert a.endswith("\n")
         assert json.loads(a)["euler"] == 8

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import defaultdict
 from dataclasses import asdict, replace
 from fractions import Fraction
@@ -117,6 +118,19 @@ class TestCompare2D:
         assert cmp2.count_matches and cmp2.euler_matches and cmp2.round_trip
         assert not cmp2.rays_on_hull
         assert not cmp2.ok
+
+    def test_hull_candidates_are_streamed(self):
+        # the r + 1 candidate points are never held at once: a list of them
+        # alone is several MB at this order
+        fan = build_resolution(GroupType.from_weights(50003, (1, 2)))
+        tracemalloc.start()
+        try:
+            cmp2 = compare_2d(fan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cmp2.ok and cmp2.expansion == (25002, 2)
+        assert peak < 2**20
 
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
