@@ -84,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("resolve", help="resolve and summarise the fan")
     _add_type_args(p)
-    p.add_argument("--max-depth", type=int, default=None, help="cap subdivision depth")
 
     p = subs.add_parser("verify", help="run all cross-checks on one type")
     _add_type_args(p)
@@ -98,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=int, required=True, help="largest order")
     p.add_argument("--r-min", type=int, default=2, help="smallest order")
     p.add_argument("--gorenstein", action="store_true", help="weight sums divisible by r only")
-    p.add_argument("--crepant-only", action="store_true", help="report crepant types only")
+    p.add_argument("--crepant-only", action="store_true", help="list crepant types only")
     p.add_argument("--csv", metavar="PATH", help="write records as CSV")
     p.add_argument("--allow-large", action="store_true", help="lift the size cap")
 
@@ -168,13 +167,12 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
     group = _group(args)
-    fan = build_resolution(group, max_depth=args.max_depth)
-    smooth = all(c.is_smooth_type() for c in fan.max_cones)
+    report, fan = resolution_report(group, validate=False)
     print(f"type {group}")
-    print(f"maximal cones {fan.euler}")
+    print(f"maximal cones {report.euler}")
     print(f"rays {len(fan.rays)}")
-    print(f"smooth {'yes' if smooth else 'no'}")
-    print(f"crepant {'yes' if fan.is_crepant() else 'no'}")
+    print(f"smooth {'yes' if report.smooth_all else 'no'}")
+    print(f"crepant {'yes' if report.crepant_by_fan else 'no'}")
     for ray in fan.rays:
         tag = "exceptional" if ray.exceptional else "axis"
         coords = ",".join(str(v) for v in ray.scaled)
@@ -225,22 +223,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             r_max=args.r_max,
             r_min=args.r_min,
             gorenstein_only=args.gorenstein,
-            crepant_only=args.crepant_only,
             allow_large=args.allow_large,
         )
+        # --crepant-only filters the rows and counts, never the verdict
+        shown = [rec for rec in records if rec.crepant] if args.crepant_only else records
         for buf in buffers:
-            write_sweep_csv(records, buf)
+            write_sweep_csv(shown, buf)
     if args.csv:
-        print(f"wrote {len(records)} records to {args.csv}")
-    stats = summarize(records)
+        print(f"wrote {len(shown)} records to {args.csv}")
+    stats = summarize(shown)
     print(
         f"types {stats['types']}  crepant {stats['crepant']}  "
         f"gorenstein {stats['gorenstein']}"
     )
-    if stats["all_ok"]:
+    verdict = summarize(records)
+    if verdict["all_ok"]:
         print("all identities hold")
         return 0
-    print("FAILURES: " + ", ".join(stats["failures"]))
+    print("FAILURES: " + ", ".join(verdict["failures"]))
     return 1
 
 
@@ -258,9 +258,10 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    # the fan renderers, and None for the polynomial JSON, which needs no fan
     outputs = [
         (args.json, fan_json_text),
-        (args.poly, lambda fan: polynomial_json_text(expand(fan.group.fraction))),
+        (args.poly, None),
         (args.svg, fan_to_svg),
         (args.dot, subdivision_tree_dot),
     ]
@@ -273,9 +274,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if args.svg:
         require_cross_section(group)
     with _output_files([path for path, _ in outputs]) as buffers:
-        fan = build_resolution(group)
+        fan = build_resolution(group) if any(render for _, render in outputs) else None
         for (_, render), buf in zip(outputs, buffers):
-            buf.write(render(fan))
+            buf.write(render(fan) if render else polynomial_json_text(expand(group.fraction)))
     for path, _ in outputs:
         print(f"wrote {path}")
     return 0

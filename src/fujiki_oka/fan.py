@@ -19,7 +19,8 @@ coverage and faces on the cofactor rows of the maximal cones: samples by
 numpy matmuls over blocks of samples (int64 while a magnitude guard says
 the products fit, Python ints past it), faces by a linear-time
 pseudo-manifold certificate, or, when it fails, by the pairwise check in
-integers, which names the offending pairs.
+integers, which names the offending pairs.  Coverage also needs proof
+beyond the samples: the certificate, or an exact volume sum of 1.
 """
 
 from __future__ import annotations
@@ -236,7 +237,7 @@ class RayInfo:
 
 @dataclass(frozen=True)
 class Fan:
-    """A (possibly partial) subdivision of the positive orthant.
+    """The resolution of a type: a smooth subdivision of the positive orthant.
 
     ``max_cones`` are the leaves in depth-first order; ``nodes`` is every
     cone ever produced, in the same order, so the subdivision tree can be
@@ -256,8 +257,8 @@ class Fan:
 
     @property
     def interior_types(self) -> tuple[ProperFraction, ...]:
-        """Local types of the non-smooth nodes, depth-first: for a full
-        resolution, the coefficients of the type's remainder polynomial."""
+        """Local types of the non-smooth nodes, depth-first: the
+        coefficients of the type's remainder polynomial."""
         return tuple(c.local_type for c in self.nodes if not c.is_smooth_type())
 
     def is_crepant(self) -> bool:
@@ -333,17 +334,12 @@ def _ray_info(point: ScaledPoint, group: GroupType) -> RayInfo:
     )
 
 
-def build_resolution(group: GroupType, max_depth: int | None = None) -> Fan:
+def build_resolution(group: GroupType) -> Fan:
     """Iterate star subdivisions until every cone is smooth.
 
-    ``max_depth`` caps the word length, leaving a partially subdivided fan
-    whose leaves may still be singular; the default resolves completely.
-    Iterative worklist, depth-first with children in index order, so the
-    output ordering is reproducible.  A negative ``max_depth`` raises
-    ``ValueError``.
+    Always resolves completely; ``star_subdivide`` is the one-step
+    primitive.  Depth-first, children in index order: reproducible output.
     """
-    if max_depth is not None and max_depth < 0:
-        raise ValueError(f"max_depth must be at least 0, got {max_depth}")
     r, n = group.r, group.n
     axes = tuple(tuple(r if j == i else 0 for j in range(n)) for i in range(n))
     creation: list[ScaledPoint] = list(axes)
@@ -353,8 +349,7 @@ def build_resolution(group: GroupType, max_depth: int | None = None) -> Fan:
     while stack:
         cone = stack.pop()
         nodes.append(cone)
-        stop = max_depth is not None and len(cone.word) >= max_depth
-        if cone.is_smooth_type() or stop:
+        if cone.is_smooth_type():
             leaves.append(cone)
             continue
         point, children = star_subdivide(cone, group)
@@ -378,7 +373,9 @@ class FanValidation:
     ``ValueError`` on any other); ``passed`` folds them together.
     ``faces_certified`` says which path settled the face check: True when
     the linear-time facet certificate held, False when the pairwise check
-    ran.
+    ran.  ``volume`` is the exact share of the orthant the maximal cones
+    fill, overlaps counted twice: 1 when they tile it, ``None`` when some
+    generator has a negative coordinate.
     """
 
     multiplicity_ok: bool
@@ -389,6 +386,7 @@ class FanValidation:
     uncovered: int
     overlapping: int
     boundary_gaps: int
+    volume: Fraction | None
     faces_ok: bool
     bad_pairs: tuple[tuple[int, int], ...]
     faces_certified: bool
@@ -412,8 +410,12 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
        facet certificate proves this for the whole fan at once; only when
        it fails does the pairwise check run, to name the bad pairs.
 
-    The certificate also proves coverage, so with ``samples=0`` coverage
-    passes exactly when the certificate holds: no samples are no evidence.
+    Coverage passes when no sample fails and there is proof besides: the
+    certificate, or a volume of exactly 1 with no bad pair and no two
+    maximal cones on one generator set.  Cones that meet in common faces
+    have disjoint interiors, so then they fill the orthant with nothing
+    left over.  With ``samples=0`` the proof alone decides; no samples are
+    no evidence.
 
     The sample stream is drawn from a seeded generator, so results are
     reproducible; the same seed always tests the same points.  Samples are
@@ -422,11 +424,14 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
     cones and samples there are.  A maximal cone on linearly dependent
     generators (two equal ones, say), or whose determinant r^(n-1) does not
     divide (a generator outside the lattice), raises ``ValueError``, and so
-    do ``samples < 0`` and more than ``_SAMPLE_BUDGET`` sample coordinates.
+    do ``samples < 0``, ``seed < 0`` and more than ``_SAMPLE_BUDGET`` sample
+    coordinates.
     """
     group = fan.group
     if samples < 0:
         raise ValueError(f"sample count must be at least 0, got {samples}")
+    if seed < 0:
+        raise ValueError(f"sampling seed must be at least 0, got {seed}")
     if group.n * samples > _SAMPLE_BUDGET:
         raise ValueError(
             f"{samples} samples in dimension {group.n} exceed the bound of "
@@ -448,18 +453,25 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
     normals = [_cofactor_rows(c.generators) for c in fan.max_cones]
 
     uncovered, overlapping, gaps = _check_coverage(fan, normals, samples, seed)
+    volume = _orthant_volume(fan, mults)
     certified = _facets_certified(fan, normals)
     bad_pairs = [] if certified else _check_faces(fan, normals)
+    proved = certified or (
+        volume == 1
+        and not bad_pairs
+        and len({frozenset(c.generators) for c in fan.max_cones}) == len(fan.max_cones)
+    )
 
     return FanValidation(
         multiplicity_ok=not bad_mults,
         bad_multiplicities=bad_mults,
         rays_ok=not bad_rays,
         bad_rays=tuple(bad_rays),
-        coverage_ok=(samples > 0 or certified) and uncovered == overlapping == gaps == 0,
+        coverage_ok=uncovered == overlapping == gaps == 0 and proved,
         uncovered=uncovered,
         overlapping=overlapping,
         boundary_gaps=gaps,
+        volume=volume,
         faces_ok=not bad_pairs,
         bad_pairs=tuple(bad_pairs),
         faces_certified=certified,
@@ -491,6 +503,26 @@ def _check_coverage(
         overlapping += int(((cov >= 2) & (stc >= 1)).sum())
         gaps += int(((cov == 1) & (stc == 0)).sum())
     return uncovered, overlapping, gaps
+
+
+def _orthant_volume(fan: Fan, mults: list[int]) -> Fraction | None:
+    """Sum over the maximal cones of ``|det G| / prod_k (1 . g_k)``.
+
+    Each term is the cone's share of the orthant's cross-section
+    ``1 . x = 1``, so the sum is exactly 1 when the cones tile the orthant,
+    less on a gap and more on an overlap.  ``|det G|`` is the multiplicity
+    times r^(n-1), so no determinant is recomputed; the terms are summed
+    over one common integer denominator.  ``None`` when some generator has
+    a negative coordinate, where the cross-section is no measure.
+    """
+    cones = fan.max_cones
+    if any(v < 0 for cone in cones for g in cone.generators for v in g):
+        return None
+    group = fan.group
+    dens = [math.prod(map(sum, cone.generators)) for cone in cones]
+    common = math.lcm(*dens)
+    total = sum(m * (common // d) for m, d in zip(mults, dens))
+    return Fraction(total * group.r ** (group.n - 1), common)
 
 
 def _facets_certified(fan: Fan, normals: list) -> bool:

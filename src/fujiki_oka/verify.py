@@ -233,7 +233,6 @@ def sweep(
     r_max: int,
     r_min: int = 2,
     gorenstein_only: bool = False,
-    crepant_only: bool = False,
     allow_large: bool = False,
 ) -> list[ResolutionReport]:
     """Resolve every semi-unimodular type with the given dimension and order
@@ -242,9 +241,10 @@ def sweep(
     Within each order, the first type of every weight-permutation orbit is
     resolved in full and the others copy its record under their own weights
     (see ``measure_type``); the memo of first records lives for this call
-    only.  ``crepant_only`` filters the output; the types are still all
-    resolved.  Requests whose raw product-space size ``r_max ** dim``
-    exceeds a million are refused unless ``allow_large`` is set.
+    only.  Every record is returned, so a caller that shows only some of
+    them still judges the sweep on all.  Requests whose raw product-space
+    size ``r_max ** dim`` exceeds a million are refused unless
+    ``allow_large`` is set.
     """
     global _orbit_memo
     if dim < 2:
@@ -269,8 +269,6 @@ def sweep(
         ]
     finally:
         _orbit_memo = None
-    if crepant_only:
-        records = [rec for rec in records if rec.crepant]
     return records
 
 

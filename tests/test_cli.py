@@ -54,21 +54,21 @@ class TestResolve:
         assert "crepant no" in out
         assert "ray (1,2,7) exceptional discrepancy -1/6" in out
 
-    def test_max_depth(self, capsys):
-        assert main(["resolve", "-r", "12", "-w", "1,2,7", "--max-depth", "1"]) == 0
+    def test_smooth_reads_the_leaf_determinants(self, monkeypatch, capsys):
+        # the report's smooth_all, not the builder's own stopping rule
+        monkeypatch.setattr(fujiki_oka.fan, "cone_multiplicity", lambda cone, group: 2)
+        assert main(["resolve", "-r", "12", "-w", "1,2,7"]) == 0
         out = capsys.readouterr().out
-        assert "maximal cones 3" in out
         assert "smooth no" in out
+        assert "maximal cones 8" in out
 
-    def test_max_depth_zero_is_the_orthant(self, capsys):
-        assert main(["resolve", "-r", "12", "-w", "1,2,7", "--max-depth", "0"]) == 0
-        assert "maximal cones 1" in capsys.readouterr().out
-
-    def test_negative_max_depth_is_input_error(self, capsys):
-        # it would print the unsubdivided orthant as if it were asked for
-        assert main(["resolve", "-r", "12", "-w", "1,2,7", "--max-depth", "-1"]) == 2
+    def test_max_depth_is_not_an_option(self, capsys):
+        # every fan is a complete resolution
+        with pytest.raises(SystemExit) as exc:
+            main(["resolve", "-r", "12", "-w", "1,2,7", "--max-depth", "1"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert "max_depth" in captured.err
+        assert "--max-depth" in captured.err
         assert captured.out == ""
 
 
@@ -134,6 +134,12 @@ class TestVerify:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert "--samples" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_negative_seed_is_input_error(self, capsys):
+        assert main(["verify", "-r", "12", "-w", "1,2,7", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "seed" in captured.err
         assert "PASS" not in captured.out
 
     def test_huge_sample_count_is_input_error(self, monkeypatch, capsys):
@@ -208,6 +214,38 @@ class TestSweep:
         assert "all identities hold" not in out
         # the same label as GroupType's
         assert out.splitlines()[-1] == "FAILURES: 1/3(1,2), 1/4(1,2), 1/5(1,2), 1/6(1,2)"
+
+    def test_crepant_only_still_judges_every_type(self, monkeypatch, capsys):
+        # a failing type the filter hides from the rows still fails the sweep
+        real = fujiki_oka.verify.measure_type
+
+        def measure(group):
+            rec = real(group)
+            return rec if rec.crepant else dataclasses.replace(rec, euler=rec.euler + 1)
+
+        monkeypatch.setattr(fujiki_oka.verify, "measure_type", measure)
+        argv = ["sweep", "--dim", "3", "--r-max", "5"]
+        for flags in ([], ["--crepant-only"]):
+            assert main(argv + flags) == 1
+            out = capsys.readouterr().out
+            assert "all identities hold" not in out
+            assert out.splitlines()[-1].startswith("FAILURES: 1/2(0,0,1), ")
+
+    def test_crepant_only_filters_rows_and_counts(self, tmp_path, capsys):
+        every, crepant = tmp_path / "every.csv", tmp_path / "crepant.csv"
+        argv = ["sweep", "--dim", "3", "--r-max", "8", "--csv"]
+        assert main(argv + [str(every)]) == 0
+        assert main(argv + [str(crepant), "--crepant-only"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        # every column but the wall-clock ms
+        header, *rows = [line.rsplit(",", 1)[0] for line in every.read_text().splitlines()]
+        kept = [row for row in rows if row.split(",")[6] == "true"]
+        assert kept and len(kept) < len(rows)
+        lines = crepant.read_text().splitlines()
+        assert [line.rsplit(",", 1)[0] for line in lines] == [header] + kept
+        assert out[-3] == f"wrote {len(kept)} records to {crepant}"
+        assert out[-2].startswith(f"types {len(kept)}  crepant {len(kept)}  ")
+        assert out[-1] == "all identities hold"
 
     def test_cap_is_enforced(self, capsys):
         assert main(["sweep", "--dim", "3", "--r-max", "200"]) == 2
@@ -346,6 +384,20 @@ class TestExport:
             text = dest.read_text()
             assert hashlib.sha256(f"{code}\n{text}".encode()).hexdigest() == digest
             assert len(calls) == poly, command
+
+    def test_the_polynomial_needs_no_fan(self, tmp_path, monkeypatch, capsys):
+        def no_resolution(group):
+            raise AssertionError("build_resolution called")
+
+        monkeypatch.setattr(fujiki_oka.cli, "build_resolution", no_resolution)
+        for order, weights, command, digest in GOLDEN_OUTPUT:
+            if command != "export --poly":
+                continue
+            dest = tmp_path / "poly.json"
+            code = main(["export", "-r", order, "-w", weights, "--poly", str(dest)])
+            text = dest.read_text()
+            assert hashlib.sha256(f"{code}\n{text}".encode()).hexdigest() == digest
+            assert capsys.readouterr().out == f"wrote {dest}\n"
 
     def test_bad_input_writes_no_file(self, tmp_path, capsys):
         # the SVG needs three weights; the JSON must not be written either

@@ -1,5 +1,6 @@
 """Unit tests for the lattice, subdivision, and validation machinery."""
 
+import math
 import random
 import tracemalloc
 from dataclasses import replace
@@ -278,28 +279,11 @@ class TestBuildResolution:
         assert len(holders) == 4
         assert {c.word[:2] for c in holders} == {(3, 2), (3, 3)}
 
-    def test_max_depth_zero(self):
+    def test_takes_only_the_group(self):
+        # every fan is a complete resolution; there is no depth cap
         g = GroupType.from_weights(12, (1, 2, 7))
-        fan = build_resolution(g, max_depth=0)
-        assert fan.euler == 1
-        assert fan.max_cones[0].local_type == g.fraction
-        assert [ray.scaled for ray in fan.rays] == [
-            (12, 0, 0),
-            (0, 12, 0),
-            (0, 0, 12),
-        ]
-
-    def test_max_depth_one(self):
-        g = GroupType.from_weights(12, (1, 2, 7))
-        fan = build_resolution(g, max_depth=1)
-        assert [c.word for c in fan.max_cones] == [(1,), (2,), (3,)]
-        mults = [cone_multiplicity(c, g) for c in fan.max_cones]
-        assert mults == [1, 2, 7]
-
-    def test_negative_max_depth_rejected(self):
-        g = GroupType.from_weights(12, (1, 2, 7))
-        with pytest.raises(ValueError, match="max_depth"):
-            build_resolution(g, max_depth=-1)
+        with pytest.raises(TypeError):
+            build_resolution(g, max_depth=1)
 
     def test_quasi_reflection_direction(self):
         # a zero weight pushes the new ray onto a coordinate axis; the axis
@@ -576,6 +560,69 @@ class TestValidateFan:
         with pytest.raises(ValueError, match="divisible"):
             validate_fan(replace(build_resolution(g), max_cones=(alien,)))
 
+    def test_negative_seed_is_refused(self):
+        # numpy's own refusal would not name the seed
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            validate_fan(self.golden(), seed=-1)
+
+    def test_thin_missing_cone_fails(self):
+        # no sample lands in the dropped cone, and no pair of the others
+        # meets badly; only the volume sees the gap
+        fan = build_resolution(GroupType.from_weights(9, (1, 8, 4)))
+        cones = fan.max_cones
+        v = validate_fan(replace(fan, max_cones=cones[:9] + cones[10:]))
+        assert not v.passed
+        assert not v.coverage_ok
+        assert (v.uncovered, v.bad_pairs, v.faces_certified) == (0, (), False)
+        assert v.volume == Fraction(5773, 5800)
+        assert validate_fan(fan).volume == 1
+
+    def test_volume_decides_without_the_certificate(self, monkeypatch):
+        # with no samples and no certificate, a volume of 1 over cones that
+        # meet in common faces still proves coverage, and less does not
+        monkeypatch.setattr(fan_mod, "_facets_certified", lambda fan, normals: False)
+        fan = build_resolution(GroupType.from_weights(9, (1, 8, 4)))
+        v = validate_fan(fan, samples=0)
+        assert v.volume == 1 and v.coverage_ok and v.passed
+        v = validate_fan(replace(fan, max_cones=fan.max_cones[:-1]), samples=0)
+        assert v.volume < 1 and v.faces_ok
+        assert not v.coverage_ok
+
+    def test_one_cone_twice_is_no_tiling(self):
+        # both cones of 1/2(1,1) fill half the orthant, so the first one
+        # twice sums to 1, and a cone meets itself in a common face
+        fan = build_resolution(GroupType.from_weights(2, (1, 1)))
+        first = fan.max_cones[0]
+        for twice in ((first, first), (first, replace(first, generators=first.generators[::-1]))):
+            v = validate_fan(replace(fan, max_cones=twice), samples=0)
+            assert v.volume == 1 and v.faces_ok and not v.faces_certified
+            assert not v.coverage_ok
+
+    def test_negative_generator_has_no_volume(self):
+        fan = build_resolution(GroupType.from_weights(5, (1, 2)))
+        first, _, last = fan.max_cones
+        negated = replace(last, generators=((-5, 0), (3, 1)))
+        assert validate_fan(replace(fan, max_cones=(first, negated))).volume is None
+
+
+def test_no_fan_with_its_thinnest_cone_dropped_passes():
+    # the cone of smallest share 1/prod_k(1 . g_k) is the one samples miss
+    # most often; every full resolution fills the orthant exactly
+    checked = []
+    for r in range(2, 13):
+        for frac in all_semi_unimodular(3, r):
+            fan = build_resolution(GroupType(frac))
+            cones = fan.max_cones
+            if len(cones) < 2:
+                continue
+            shares = [Fraction(1, math.prod(map(sum, c.generators))) for c in cones]
+            k = shares.index(min(shares))
+            checked.append((fan, validate_fan(replace(fan, max_cones=cones[:k] + cones[k + 1 :]))))
+    assert len(checked) == 1694
+    assert [str(fan.group) for fan, v in checked if v.passed] == []
+    for fan, v in checked:
+        assert v.volume < 1 and validate_fan(fan, samples=0).volume == 1, fan.group
+
 
 def face_normals(fan):
     return [fan_mod._cofactor_rows(c.generators) for c in fan.max_cones]
@@ -615,10 +662,12 @@ class TestExactCoverage:
 
     def test_large_order_fan(self):
         group = GroupType.from_weights(10**7, (1, 2, 3))
-        fan = build_resolution(group, max_depth=1)
+        fan = build_resolution(group)
+        assert fan.euler == 8
         assert takes_exact_coverage(fan)
         v = validate_fan(fan)
         assert (v.uncovered, v.overlapping, v.boundary_gaps) == (0, 0, 0)
+        assert v.passed and v.faces_certified
         dropped = validate_fan(replace(fan, max_cones=fan.max_cones[1:]))
         assert dropped.uncovered > 0
         assert not dropped.coverage_ok

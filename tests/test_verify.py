@@ -279,11 +279,6 @@ class TestSweep:
         everything = sweep(dim=3, r_max=8)
         assert len(records) == sum(1 for rec in everything if rec.gorenstein)
 
-    def test_crepant_filter(self):
-        records = sweep(dim=3, r_max=8, crepant_only=True)
-        assert records
-        assert all(rec.crepant for rec in records)
-
     def test_all_records_ok_in_small_range(self):
         records = sweep(dim=3, r_max=10)
         assert all(rec.ok for rec in records)
