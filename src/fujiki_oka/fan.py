@@ -19,8 +19,8 @@ coverage and faces on the cofactor rows of the maximal cones: samples by
 numpy matmuls over blocks of samples (int64 while a magnitude guard says
 the products fit, Python ints past it), faces by a linear-time
 pseudo-manifold certificate, or, when it fails, by the pairwise check in
-integers, which names the offending pairs.  Coverage also needs proof
-beyond the samples: the certificate, or an exact volume sum of 1.
+integers, which names the offending pairs.  Coverage needs the certificate
+as well as clean samples, which alone can miss a thin cone.
 """
 
 from __future__ import annotations
@@ -373,9 +373,7 @@ class FanValidation:
     ``ValueError`` on any other); ``passed`` folds them together.
     ``faces_certified`` says which path settled the face check: True when
     the linear-time facet certificate held, False when the pairwise check
-    ran.  ``volume`` is the exact share of the orthant the maximal cones
-    fill, overlaps counted twice: 1 when they tile it, ``None`` when some
-    generator has a negative coordinate.
+    ran.  ``coverage_ok`` needs the certificate as well as clean samples.
     """
 
     multiplicity_ok: bool
@@ -386,7 +384,6 @@ class FanValidation:
     uncovered: int
     overlapping: int
     boundary_gaps: int
-    volume: Fraction | None
     faces_ok: bool
     bad_pairs: tuple[tuple[int, int], ...]
     faces_certified: bool
@@ -410,12 +407,10 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
        facet certificate proves this for the whole fan at once; only when
        it fails does the pairwise check run, to name the bad pairs.
 
-    Coverage passes when no sample fails and there is proof besides: the
-    certificate, or a volume of exactly 1 with no bad pair and no two
-    maximal cones on one generator set.  Cones that meet in common faces
-    have disjoint interiors, so then they fill the orthant with nothing
-    left over.  With ``samples=0`` the proof alone decides; no samples are
-    no evidence.
+    Coverage passes when no sample fails and the certificate holds: samples
+    alone can miss a thin cone, and the certificate proves that the cones
+    fill the orthant with nothing left over.  With ``samples=0`` the
+    certificate alone decides; no samples are no evidence.
 
     The sample stream is drawn from a seeded generator, so results are
     reproducible; the same seed always tests the same points.  Samples are
@@ -428,18 +423,9 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
     coordinates.
     """
     group = fan.group
-    if samples < 0:
-        raise ValueError(f"sample count must be at least 0, got {samples}")
-    if seed < 0:
-        raise ValueError(f"sampling seed must be at least 0, got {seed}")
-    if group.n * samples > _SAMPLE_BUDGET:
-        raise ValueError(
-            f"{samples} samples in dimension {group.n} exceed the bound of "
-            f"{_SAMPLE_BUDGET:,} sample coordinates"
-        )
+    _check_sampling(group.n, samples, seed)
 
-    mults = [cone_multiplicity(c, group) for c in fan.max_cones]
-    bad_mults = tuple(sorted({m for m in mults if m != 1}))
+    bad_mults = tuple(sorted({cone_multiplicity(c, group) for c in fan.max_cones} - {1}))
 
     bad_rays = []
     for ray in fan.rays:
@@ -453,31 +439,36 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
     normals = [_cofactor_rows(c.generators) for c in fan.max_cones]
 
     uncovered, overlapping, gaps = _check_coverage(fan, normals, samples, seed)
-    volume = _orthant_volume(fan, mults)
     certified = _facets_certified(fan, normals)
     bad_pairs = [] if certified else _check_faces(fan, normals)
-    proved = certified or (
-        volume == 1
-        and not bad_pairs
-        and len({frozenset(c.generators) for c in fan.max_cones}) == len(fan.max_cones)
-    )
 
     return FanValidation(
         multiplicity_ok=not bad_mults,
         bad_multiplicities=bad_mults,
         rays_ok=not bad_rays,
         bad_rays=tuple(bad_rays),
-        coverage_ok=uncovered == overlapping == gaps == 0 and proved,
+        coverage_ok=uncovered == overlapping == gaps == 0 and certified,
         uncovered=uncovered,
         overlapping=overlapping,
         boundary_gaps=gaps,
-        volume=volume,
         faces_ok=not bad_pairs,
         bad_pairs=tuple(bad_pairs),
         faces_certified=certified,
         samples=samples,
         seed=seed,
     )
+
+
+def _check_sampling(n: int, samples: int, seed: int) -> None:
+    if samples < 0:
+        raise ValueError(f"sample count must be at least 0, got {samples}")
+    if seed < 0:
+        raise ValueError(f"sampling seed must be at least 0, got {seed}")
+    if n * samples > _SAMPLE_BUDGET:
+        raise ValueError(
+            f"{samples} samples in dimension {n} exceed the bound of "
+            f"{_SAMPLE_BUDGET:,} sample coordinates"
+        )
 
 
 def _check_coverage(
@@ -505,26 +496,6 @@ def _check_coverage(
     return uncovered, overlapping, gaps
 
 
-def _orthant_volume(fan: Fan, mults: list[int]) -> Fraction | None:
-    """Sum over the maximal cones of ``|det G| / prod_k (1 . g_k)``.
-
-    Each term is the cone's share of the orthant's cross-section
-    ``1 . x = 1``, so the sum is exactly 1 when the cones tile the orthant,
-    less on a gap and more on an overlap.  ``|det G|`` is the multiplicity
-    times r^(n-1), so no determinant is recomputed; the terms are summed
-    over one common integer denominator.  ``None`` when some generator has
-    a negative coordinate, where the cross-section is no measure.
-    """
-    cones = fan.max_cones
-    if any(v < 0 for cone in cones for g in cone.generators for v in g):
-        return None
-    group = fan.group
-    dens = [math.prod(map(sum, cone.generators)) for cone in cones]
-    common = math.lcm(*dens)
-    total = sum(m * (common // d) for m, d in zip(mults, dens))
-    return Fraction(total * group.r ** (group.n - 1), common)
-
-
 def _facets_certified(fan: Fan, normals: list) -> bool:
     """Exact proof that the maximal cones triangulate the positive orthant.
 
@@ -546,7 +517,8 @@ def _facets_certified(fan: Fan, normals: list) -> bool:
     then the same on the whole open orthant (crossing a shared facet leaves
     one cone and enters the other; unshared facets lie on the orthant's
     boundary), the witness makes it 1, and any two cones meet in a common
-    face.  False proves nothing; the pairwise check then decides.
+    face.  False proves nothing: the pairwise check then decides the faces,
+    and coverage fails.
     O(cones * n) hash lookups and exact dot products, reusing the cofactor
     rows.
     """
@@ -717,9 +689,12 @@ def resolution_report(
     separate ``expand``; otherwise from ``fan.interior_types``, the same
     fractions, so the subdivision tree is walked once.  Leaf multiplicities
     come from ``validate_fan`` when validating and are computed directly
-    otherwise, never twice.
+    otherwise, never twice.  When validating, ``samples`` and ``seed`` are
+    checked before anything is built, so bad ones fail at once.
     """
     t0 = time.perf_counter()
+    if validate:
+        _check_sampling(group.n, samples, seed)
     fan = build_resolution(group)
     if validate:
         coefficients = [t.coefficient for t in expand(group.fraction).terms]

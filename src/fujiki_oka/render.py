@@ -11,15 +11,16 @@ from __future__ import annotations
 import json
 import math
 
-from .fan import Fan, GroupType
+from .fan import Fan, GroupType, cone_multiplicity
 from .polynomial import RemainderPolynomial
 
 
 def fan_to_json(fan: Fan) -> dict:
     """JSON-ready summary of a fan and its arithmetic cross-checks.
 
-    Cones reference rays by index into the ``rays`` array; the size and
-    total height are summed over the fan's ``interior_types``.
+    Cones reference rays by index into the ``rays`` array, and each cone's
+    multiplicity is its leaf determinant; the size and total height are
+    summed over the fan's ``interior_types``.
     """
     index = {ray.scaled: i for i, ray in enumerate(fan.rays)}
     types = fan.interior_types
@@ -38,7 +39,7 @@ def fan_to_json(fan: Fan) -> dict:
             {
                 "ray_indices": [index[g] for g in cone.generators],
                 "word": list(cone.word),
-                "multiplicity": cone.local_type.denominator,
+                "multiplicity": cone_multiplicity(cone, fan.group),
             }
             for cone in fan.max_cones
         ],

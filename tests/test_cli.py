@@ -136,22 +136,40 @@ class TestVerify:
         assert "--samples" in captured.err
         assert "PASS" not in captured.out
 
-    def test_negative_seed_is_input_error(self, capsys):
+    def test_negative_seed_is_input_error(self, monkeypatch, capsys):
+        # refused before the fan is built, so a large type fails at once
+        def no_resolution(group):
+            raise AssertionError("build_resolution called")
+
         assert main(["verify", "-r", "12", "-w", "1,2,7", "--seed", "-1"]) == 2
         captured = capsys.readouterr()
         assert "seed" in captured.err
         assert "PASS" not in captured.out
+        monkeypatch.setattr(fujiki_oka.fan, "build_resolution", no_resolution)
+        assert main(["verify", "-r", "12", "-w", "1,2,7", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "error: sampling seed must be at least 0, got -1" in captured.err
+        assert "PASS" not in captured.out
 
     def test_huge_sample_count_is_input_error(self, monkeypatch, capsys):
-        # refused before any sample is drawn; the stub keeps a regression
-        # from allocating gigabytes
+        # refused before the fan is built or any sample is drawn; the stubs
+        # keep a regression from resolving or allocating gigabytes
         def no_draw(seed):
             raise RuntimeError("samples drawn")
+
+        def no_resolution(group):
+            raise AssertionError("build_resolution called")
 
         monkeypatch.setattr(fujiki_oka.fan.np.random, "default_rng", no_draw)
         argv = ["verify", "-r", "12", "-w", "1,2,7", "--samples", "1000000000"]
         assert main(argv) == 2
         captured = capsys.readouterr()
+        assert "sample coordinates" in captured.err
+        assert "PASS" not in captured.out
+        monkeypatch.setattr(fujiki_oka.fan, "build_resolution", no_resolution)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "1000000000 samples in dimension 3 exceed the bound" in captured.err
         assert "sample coordinates" in captured.err
         assert "PASS" not in captured.out
 

@@ -1,6 +1,7 @@
 """Unit tests for JSON / SVG / DOT output."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -62,6 +63,18 @@ class TestJson:
         for cone, entry in zip(fan.max_cones, data["max_cones"]):
             resolved = [tuple(data["rays"][i]["scaled"]) for i in entry["ray_indices"]]
             assert resolved == list(cone.generators)
+
+    def test_multiplicity_is_the_leaf_determinant(self):
+        # a leaf on the axes of 1/5(1,2) is the whole orthant again, of
+        # index 5, whatever local type the builder tagged it with
+        fan = build_resolution(GroupType.from_weights(5, (1, 2)))
+        first = fan.max_cones[0]
+        axes = replace(first, generators=((5, 0), (0, 5)))
+        data = fan_to_json(replace(fan, max_cones=(axes,) + fan.max_cones[1:]))
+        assert first.local_type.denominator == 1
+        assert data["max_cones"][0]["ray_indices"] == [0, 1]
+        assert data["max_cones"][0]["multiplicity"] == 5
+        assert [c["multiplicity"] for c in data["max_cones"][1:]] == [1, 1]
 
     def test_size_and_height_are_the_expansion(self):
         # the fan's interior local types are the polynomial's coefficients
