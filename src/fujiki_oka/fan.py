@@ -14,13 +14,15 @@ Denominators strictly decrease, so the process terminates with an
 everywhere-smooth fan, and the local types of the non-smooth nodes are the
 remainder polynomial's coefficients (``Fan.interior_types``).
 
-No floating point enters any geometric decision.  Validation settles
-coverage and faces on the cofactor rows of the maximal cones: samples by
-numpy matmuls over blocks of samples (int64 while a magnitude guard says
-the products fit, Python ints past it), faces by a linear-time
-pseudo-manifold certificate, or, when it fails, by the pairwise check in
-integers, which names the offending pairs.  Coverage needs the certificate
-as well as clean samples, which alone can miss a thin cone.
+Every geometric decision is exact.  Validation settles coverage and faces
+on the cofactor rows of the maximal cones: samples by one numpy matmul per
+block of samples, faces by a linear-time pseudo-manifold certificate, or,
+when it fails, by the pairwise check in integers, which names the
+offending pairs.  Coverage needs the certificate
+as well as clean samples, which alone can miss a thin cone.  Floating point
+enters only the sample products, and only while every product and partial
+sum is an integer below 2^53, which doubles hold exactly; past that they
+run on int64 below 2^62, then on Python ints.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 from operator import mul
 from typing import Sequence
 
@@ -413,14 +416,17 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
     certificate alone decides; no samples are no evidence.
 
     The sample stream is drawn from a seeded generator, so results are
-    reproducible; the same seed always tests the same points.  Samples are
+    reproducible; the same seed always tests the same points, and one draw
+    serves every call with the same dimension, count and seed.  Samples are
     tested in blocks whose product with the cones' cofactor rows holds at
     most ``_COVERAGE_BUDGET`` entries, so memory stays bounded however many
-    cones and samples there are.  A maximal cone on linearly dependent
-    generators (two equal ones, say), or whose determinant r^(n-1) does not
-    divide (a generator outside the lattice), raises ``ValueError``, and so
-    do ``samples < 0``, ``seed < 0`` and more than ``_SAMPLE_BUDGET`` sample
-    coordinates.
+    cones and samples there are.  The product runs on float64 (BLAS) while
+    every product and partial sum is an integer below 2^53, on int64 below
+    2^62 and on Python ints past that, so every sign is exact.  A maximal
+    cone on linearly dependent generators (two equal ones, say), or whose
+    determinant r^(n-1) does not divide (a generator outside the lattice),
+    raises ``ValueError``, and so do ``samples < 0``, ``seed < 0`` and more
+    than ``_SAMPLE_BUDGET`` sample coordinates.
     """
     group = fan.group
     _check_sampling(group.n, samples, seed)
@@ -477,23 +483,57 @@ def _check_coverage(
     if not fan.max_cones or samples == 0:
         return (samples, 0, 0)
     n = fan.group.n
-    rng = np.random.default_rng(seed)
-    pts = rng.integers(1, _SAMPLE_SPAN + 1, size=(n, samples), dtype=np.int64)
-
-    # int64 is exact while the products fit; past that, Python ints
-    max_normal = max((abs(v) for rows in normals for u in rows for v in u), default=0)
-    dtype = np.int64 if max_normal * _SAMPLE_SPAN * n < 2**62 else object
-    mat = np.array(normals, dtype=dtype)  # (cones, n, n)
-    block = max(1, _COVERAGE_BUDGET // (len(normals) * n))
+    cones = len(normals)
+    dtype = _coverage_dtype(normals, n)
+    pts = _samples(n, samples, seed)
+    mat = np.fromiter(_entries(normals), dtype).reshape(cones * n, n)
+    block = max(1, _COVERAGE_BUDGET // (cones * n))
     uncovered = overlapping = gaps = 0
     for start in range(0, samples, block):
+        # one gemm per block; a sample lies in a cone when its least
+        # barycentric sign there is >= 0, and inside it when > 0
         lam = mat @ pts[:, start : start + block].astype(dtype)
-        cov = (lam >= 0).all(axis=1).sum(axis=0)
-        stc = (lam > 0).all(axis=1).sum(axis=0)
-        uncovered += int((cov == 0).sum())
-        overlapping += int(((cov >= 2) & (stc >= 1)).sum())
-        gaps += int(((cov == 1) & (stc == 0)).sum())
+        low = lam.reshape(cones, n, -1).min(axis=1)
+        cov = (low >= 0).sum(axis=0, dtype=np.int32)
+        stc = (low > 0).sum(axis=0, dtype=np.int32)
+        uncovered += int(np.count_nonzero(cov == 0))
+        overlapping += int(np.count_nonzero((cov >= 2) & (stc >= 1)))
+        gaps += int(np.count_nonzero((cov == 1) & (stc == 0)))
     return uncovered, overlapping, gaps
+
+
+def _entries(normals: list):
+    return chain.from_iterable(chain.from_iterable(normals))
+
+
+def _coverage_dtype(normals: list, n: int):
+    """The cheapest exact dtype for the products of ``normals`` with samples.
+
+    Every product and partial sum of ``u . x`` is an integer of magnitude at
+    most ``B = max|u| * _SAMPLE_SPAN * n``.  Doubles hold every such integer
+    exactly while ``B < 2**53``, in any summation order and with fused
+    multiply-adds, so BLAS gives the signs int64 would; int64 holds them
+    while ``B < 2**62``; past that, Python ints.
+    """
+    biggest = max(map(abs, _entries(normals)), default=0)
+    bound = biggest * _SAMPLE_SPAN * n
+    if bound < 2**53:
+        return np.float64
+    if bound < 2**62:
+        return np.int64
+    return object
+
+
+@lru_cache(maxsize=2)
+def _samples(n: int, samples: int, seed: int) -> np.ndarray:
+    """The (n, samples) coverage samples of ``seed``, drawn once per key.
+
+    Read-only, since every caller with the same key shares the array.
+    """
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(1, _SAMPLE_SPAN + 1, size=(n, samples), dtype=np.int64)
+    pts.flags.writeable = False
+    return pts
 
 
 def _facets_certified(fan: Fan, normals: list) -> bool:

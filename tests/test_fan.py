@@ -7,6 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 import hypothesis.strategies as st
 from hypothesis import assume, given, settings
@@ -531,6 +532,8 @@ class TestValidateFan:
             raise RuntimeError("samples drawn")
 
         monkeypatch.setattr(fan_mod.np.random, "default_rng", no_draw)
+        # a memoized draw would bypass the stub
+        fan_mod._samples.cache_clear()
         fan = self.golden()
         most = fan_mod._SAMPLE_BUDGET // 3
         with pytest.raises(ValueError, match="bound of 33,554,432 sample coordinates"):
@@ -618,43 +621,71 @@ def face_normals(fan):
     return [fan_mod._cofactor_rows(c.generators) for c in fan.max_cones]
 
 
+def scaled_normals(fan, scale):
+    return [[tuple(scale * v for v in u) for u in rows] for rows in face_normals(fan)]
+
+
 def coverage_counts(fan, scale=1):
-    normals = [
-        [tuple(scale * v for v in u) for u in rows] for rows in face_normals(fan)
+    return fan_mod._check_coverage(fan, scaled_normals(fan, scale), 1000, fan_mod.DEFAULT_SEED)
+
+
+def coverage_dtype(fan, scale=1):
+    return fan_mod._coverage_dtype(scaled_normals(fan, scale), fan.group.n)
+
+
+# one row scale per coverage dtype on the golden fan's variants below:
+# B = max|u| * _SAMPLE_SPAN * n is below 2^53, in [2^53, 2^62), and past 2^62
+TIER_SCALES = ((1, np.float64), (2**30, np.int64), (2**45, object))
+
+
+def golden_variants():
+    """The golden fan, with its first cone dropped, and with two cones doubled."""
+    fan = TestValidateFan().golden()
+    return [
+        fan,
+        replace(fan, max_cones=fan.max_cones[1:]),
+        replace(fan, max_cones=fan.max_cones + fan.max_cones[:2]),
     ]
-    return fan_mod._check_coverage(fan, normals, 1000, fan_mod.DEFAULT_SEED)
-
-
-def takes_exact_coverage(fan, scale=1):
-    biggest = max(abs(v) for rows in face_normals(fan) for u in rows for v in u)
-    return scale * biggest * fan_mod._SAMPLE_SPAN * fan.group.n >= 2**62
 
 
 class TestExactCoverage:
-    """Coverage counts on Python ints, past the int64 magnitude guard."""
+    """Coverage counts on each exact dtype the magnitude guard picks."""
 
     def test_scaled_rows_give_the_same_counts(self):
         # scaling a cone's cofactor rows keeps every sign, so the counts
-        # must not change when the scale pushes them onto Python ints
-        fan = TestValidateFan().golden()
-        fans = [
-            fan,
-            replace(fan, max_cones=fan.max_cones[1:]),
-            replace(fan, max_cones=fan.max_cones + fan.max_cones[:2]),
-        ]
+        # must not change when the scale moves them to another dtype
+        fans = golden_variants()
         counts = [coverage_counts(f) for f in fans]
         assert counts[0] == (0, 0, 0)
         assert counts[1][0] > 0 and counts[2][1] > 0
-        for f, expected in zip(fans, counts):
-            assert not takes_exact_coverage(f)
-            assert takes_exact_coverage(f, 2**45)
-            assert coverage_counts(f, 2**45) == expected
+        for scale, dtype in TIER_SCALES:
+            for f, expected in zip(fans, counts):
+                assert coverage_dtype(f, scale) is dtype
+                assert coverage_counts(f, scale) == expected
+
+    def test_dtype_guard_edges(self, monkeypatch):
+        # the guard bounds B = max|u| * _SAMPLE_SPAN * n; a span of 1 lets
+        # B hit each edge exactly, so moving either edge by one fails here
+        def dtype(biggest, n=1):
+            rows = [tuple([0] * (n - 1) + [-biggest])] + [(1,) * n] * (n - 1)
+            return fan_mod._coverage_dtype([rows], n)
+
+        real = 2**53 // (fan_mod._SAMPLE_SPAN * 3)
+        assert dtype(real, 3) is np.float64
+        assert dtype(real + 1, 3) is np.int64
+        monkeypatch.setattr(fan_mod, "_SAMPLE_SPAN", 1)
+        assert dtype(2**53 - 1) is np.float64
+        assert dtype(2**53) is np.int64
+        assert dtype(2**52, 2) is np.int64
+        assert dtype(2**62 - 1) is np.int64
+        assert dtype(2**62) is object
+        assert dtype(2**61, 2) is object
 
     def test_large_order_fan(self):
         group = GroupType.from_weights(10**7, (1, 2, 3))
         fan = build_resolution(group)
         assert fan.euler == 8
-        assert takes_exact_coverage(fan)
+        assert coverage_dtype(fan) is object
         v = validate_fan(fan)
         assert (v.uncovered, v.overlapping, v.boundary_gaps) == (0, 0, 0)
         assert v.passed and v.faces_certified
@@ -666,16 +697,11 @@ class TestExactCoverage:
     def test_sample_blocks_give_the_same_counts(self, budget, monkeypatch):
         # a budget below cones * n * samples splits the samples into blocks,
         # the last one short; the counts must add up to the one-block ones
-        fan = TestValidateFan().golden()
-        fans = [
-            fan,
-            replace(fan, max_cones=fan.max_cones[1:]),
-            replace(fan, max_cones=fan.max_cones + fan.max_cones[:2]),
-        ]
+        fans = golden_variants()
         whole = [coverage_counts(f) for f in fans]
         monkeypatch.setattr(fan_mod, "_COVERAGE_BUDGET", budget)
-        assert [coverage_counts(f) for f in fans] == whole
-        assert [coverage_counts(f, 2**45) for f in fans] == whole
+        for scale, _ in TIER_SCALES:
+            assert [coverage_counts(f, scale) for f in fans] == whole
 
     def test_memory_is_bounded_in_samples_times_cones(self):
         fan = build_resolution(GroupType.from_weights(3001, (1, 2, 2998)))
@@ -688,6 +714,36 @@ class TestExactCoverage:
         assert v.passed and len(fan.max_cones) == 3001
         # one (cones, n, samples) product alone would be 3001 * 3 * 1000 int64s
         assert peak < 40 * 2**20
+
+
+class TestSampleMemo:
+    """Samples are drawn once per (n, samples, seed) and shared read-only."""
+
+    def test_interleaved_keys_match_fresh_draws(self):
+        # n=3 and n=4 fans under two seeds, plain and with a cone dropped,
+        # in an order that both hits and evicts the two-entry memo
+        memo = fan_mod._samples
+        fans = []
+        for r, weights in ((12, (1, 2, 7)), (5, (1, 2, 3, 4))):
+            fan = build_resolution(GroupType.from_weights(r, weights))
+            fans += [fan, replace(fan, max_cones=fan.max_cones[1:])]
+        order = [(f, seed) for seed in (7, 8, 7) for f in fans] + [(fans[2], 8), (fans[0], 7)]
+        memo.cache_clear()
+        shared = [validate_fan(f, seed=seed) for f, seed in order]
+        assert memo.cache_info().hits > 0 and memo.cache_info().misses > 2
+        fresh = []
+        for f, seed in order:
+            memo.cache_clear()
+            fresh.append(validate_fan(f, seed=seed))
+        assert shared == fresh
+        assert sum(v.uncovered for v in fresh) > 0
+
+    def test_samples_are_read_only(self):
+        pts = fan_mod._samples(3, 10, 1)
+        assert pts is fan_mod._samples(3, 10, 1)
+        assert pts.dtype == np.int64 and pts.shape == (3, 10)
+        with pytest.raises(ValueError, match="read-only"):
+            pts[0, 0] = 0
 
 
 @st.composite
