@@ -18,11 +18,12 @@ Every geometric decision is exact.  Validation settles coverage and faces
 on the cofactor rows of the maximal cones: samples by one numpy matmul per
 block of samples, faces by a linear-time pseudo-manifold certificate, or,
 when it fails, by the pairwise check in integers, which names the
-offending pairs.  Coverage needs the certificate
-as well as clean samples, which alone can miss a thin cone.  Floating point
-enters only the sample products, and only while every product and partial
-sum is an integer below 2^53, which doubles hold exactly; past that they
-run on int64 below 2^62, then on Python ints.
+offending pairs.  Coverage needs the certificate as well as clean samples,
+which alone can miss a thin cone.  The samples come from the package's own
+SplitMix64 stream, so a seed tests the same points on every numpy version.
+Floating point enters only the sample products, and only while every
+product and partial sum is an integer below 2^53, which doubles hold
+exactly; past that they run on int64 below 2^62, then on Python ints.
 """
 
 from __future__ import annotations
@@ -105,15 +106,15 @@ def _cofactor_rows(gens: tuple[ScaledPoint, ...]) -> list[tuple[int, ...]]:
 
     Row i of the result pairs with generator i: ``u_i . g_j = |det| * delta_ij``,
     so the sign pattern of ``u_i . p`` over i gives the barycentric signs of p.
-    Row i is the signed null direction of the other generators.
+    Entry k of row i is the signed minor without generator i and coordinate k.
     """
     sign = 1 if det_int(gens) > 0 else -1
-    n = len(gens)
+    # every generator with coordinate k cut out, sliced once per cone
+    cut = [[g[:k] + g[k + 1 :] for g in gens] for k in range(len(gens))]
     return [
-        tuple(
-            [(-sign if i % 2 else sign) * c for c in _null_direction(gens[:i] + gens[i + 1 :], n)]
-        )
-        for i in range(n)
+        tuple([(-sign if (i + k) % 2 else sign) * det_int(rows[:i] + rows[i + 1 :])
+               for k, rows in enumerate(cut)])
+        for i in range(len(gens))
     ]
 
 
@@ -415,12 +416,12 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
     fill the orthant with nothing left over.  With ``samples=0`` the
     certificate alone decides; no samples are no evidence.
 
-    The sample stream is drawn from a seeded generator, so results are
-    reproducible; the same seed always tests the same points, and one draw
-    serves every call with the same dimension, count and seed.  Samples are
-    tested in blocks whose product with the cones' cofactor rows holds at
-    most ``_COVERAGE_BUDGET`` entries, so memory stays bounded however many
-    cones and samples there are.  The product runs on float64 (BLAS) while
+    The samples come from the package's SplitMix64 stream (``_samples``),
+    so the same seed tests the same points on every numpy version, and one
+    draw serves every call with the same dimension, count and seed.  They
+    are tested in blocks whose product with the cones' cofactor rows holds
+    at most ``_COVERAGE_BUDGET`` entries, so memory stays bounded however
+    many cones and samples there are.  The product runs on float64 (BLAS) while
     every product and partial sum is an integer below 2^53, on int64 below
     2^62 and on Python ints past that, so every sign is exact.  A maximal
     cone on linearly dependent generators (two equal ones, say), or whose
@@ -528,12 +529,33 @@ def _coverage_dtype(normals: list, n: int):
 def _samples(n: int, samples: int, seed: int) -> np.ndarray:
     """The (n, samples) coverage samples of ``seed``, drawn once per key.
 
+    SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) in uint64, mod 2^64: the
+    state folds in the seed's 64-bit limbs, highest first, by ``mix(state ^
+    limb)``; entry i, row-major, is ``mix(state + (i + 1) * gamma) % 10**6 + 1``.
     Read-only, since every caller with the same key shares the array.
     """
-    rng = np.random.default_rng(seed)
-    pts = rng.integers(1, _SAMPLE_SPAN + 1, size=(n, samples), dtype=np.int64)
+    state = np.zeros(1, np.uint64)
+    for shift in reversed(range(0, max(seed.bit_length(), 1), 64)):
+        state = _mix64(state ^ np.uint64(seed >> shift & 2**64 - 1))
+    z = np.arange(1, n * samples + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += state
+    _mix64(z)
+    z %= np.uint64(_SAMPLE_SPAN)
+    z += np.uint64(1)
+    pts = z.view(np.int64).reshape(n, samples)
     pts.flags.writeable = False
     return pts
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output mix, in place on a uint64 array."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _facets_certified(fan: Fan, normals: list) -> bool:

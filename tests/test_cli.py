@@ -3,8 +3,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
 import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -154,13 +156,13 @@ class TestVerify:
     def test_huge_sample_count_is_input_error(self, monkeypatch, capsys):
         # refused before the fan is built or any sample is drawn; the stubs
         # keep a regression from resolving or allocating gigabytes
-        def no_draw(seed):
+        def no_draw(n, samples, seed):
             raise RuntimeError("samples drawn")
 
         def no_resolution(group):
             raise AssertionError("build_resolution called")
 
-        monkeypatch.setattr(fujiki_oka.fan.np.random, "default_rng", no_draw)
+        monkeypatch.setattr(fujiki_oka.fan, "_samples", no_draw)
         argv = ["verify", "-r", "12", "-w", "1,2,7", "--samples", "1000000000"]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -172,6 +174,36 @@ class TestVerify:
         assert "1000000000 samples in dimension 3 exceed the bound" in captured.err
         assert "sample coordinates" in captured.err
         assert "PASS" not in captured.out
+
+    def test_seed_beyond_64_bits_passes(self, capsys):
+        # the stream folds in every 64-bit limb of the seed
+        assert main(["verify", "-r", "12", "-w", "1,2,7", "--seed", str(10**30)]) == 0
+        assert capsys.readouterr().out.strip().endswith("PASS")
+
+    def test_validation_does_not_import_numpy_random(self):
+        # the samples come from the package's own stream; a fresh
+        # interpreter shows what a verify loads
+        src = os.path.dirname(os.path.dirname(fujiki_oka.__file__))
+        code = (
+            "import io, sys, contextlib, numpy\n"
+            "print('numpy.random' in sys.modules)\n"
+            "from fujiki_oka.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['verify', '-r', '12', '-w', '1,2,7'])\n"
+            "print(code, 'numpy.random' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        with_numpy, after_verify = proc.stdout.splitlines()
+        if with_numpy == "True":
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        assert after_verify == "0 False"
 
 
 class TestSweep:

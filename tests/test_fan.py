@@ -526,14 +526,12 @@ class TestValidateFan:
         assert v.passed
 
     def test_sample_request_is_bounded(self, monkeypatch):
-        # a stub generator fails the test before anything is drawn, so an
+        # a stub draw fails the test before anything is drawn, so an
         # unbounded request is never allocated
-        def no_draw(seed):
+        def no_draw(n, samples, seed):
             raise RuntimeError("samples drawn")
 
-        monkeypatch.setattr(fan_mod.np.random, "default_rng", no_draw)
-        # a memoized draw would bypass the stub
-        fan_mod._samples.cache_clear()
+        monkeypatch.setattr(fan_mod, "_samples", no_draw)
         fan = self.golden()
         most = fan_mod._SAMPLE_BUDGET // 3
         with pytest.raises(ValueError, match="bound of 33,554,432 sample coordinates"):
@@ -564,15 +562,27 @@ class TestValidateFan:
             validate_fan(replace(build_resolution(g), max_cones=(alien,)))
 
     def test_negative_seed_is_refused(self):
-        # numpy's own refusal would not name the seed
+        # the stream would fold -1 as 2^64 - 1 and test that seed's points
         with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
             validate_fan(self.golden(), seed=-1)
 
-    def test_thin_missing_cone_fails(self):
+    def test_thin_missing_cone_fails(self, monkeypatch):
         # no sample lands in the dropped cone, and no pair of the others
-        # meets badly; only the certificate sees the gap
+        # meets badly; only the certificate sees the gap.  The draw is the
+        # default one less its points in that cone, so that no sample lands
+        # there whatever the stream
         fan = build_resolution(GroupType.from_weights(9, (1, 8, 4)))
         cones = fan.max_cones
+        rows = np.array(fan_mod._cofactor_rows(cones[9].generators))
+        draw = fan_mod._samples
+
+        def outside(n, samples, seed):
+            pts = draw(n, samples, seed)
+            return pts[:, (rows @ pts).min(axis=0) < 0]
+
+        monkeypatch.setattr(fan_mod, "_samples", outside)
+        # the other samples are still tested
+        assert outside(3, 1000, fan_mod.DEFAULT_SEED).shape[1] > 0
         v = validate_fan(replace(fan, max_cones=cones[:9] + cones[10:]))
         assert not v.passed
         assert not v.coverage_ok
@@ -737,6 +747,34 @@ class TestSampleMemo:
             fresh.append(validate_fan(f, seed=seed))
         assert shared == fresh
         assert sum(v.uncovered for v in fresh) > 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 1729, 2**32 - 1, 2**64 - 1, 2**64 + 5, 2**200])
+    def test_stream_is_splitmix64(self, n, seed):
+        # an independent scalar SplitMix64; warnings are errors, so uint64
+        # wraparound must neither warn nor promote on any numpy version
+        mask = 2**64 - 1
+
+        def mix(z):
+            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+            return z ^ (z >> 31)
+
+        limbs = [seed & mask]
+        while seed >> 64 * len(limbs):
+            limbs.append(seed >> 64 * len(limbs) & mask)
+        state = 0
+        for limb in reversed(limbs):
+            state = mix(state ^ limb)
+        expected = []
+        for _ in range(n * 300):
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            expected.append(mix(state) % 10**6 + 1)
+        fan_mod._samples.cache_clear()
+        pts = fan_mod._samples(n, 300, seed)
+        assert pts.dtype == np.int64 and pts.shape == (n, 300)
+        assert pts.ravel().tolist() == expected
 
     def test_samples_are_read_only(self):
         pts = fan_mod._samples(3, 10, 1)
