@@ -29,7 +29,6 @@ exactly; past that they run on int64 below 2^62, then on Python ints.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -62,8 +61,8 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     Closed forms for 1x1, 2x2 and 3x3, which are every leaf determinant
     and cofactor minor of a type with at most three weights and every minor
     of one with four; Bareiss fraction-free elimination for larger
-    matrices.  Raises ``ValueError`` unless every row is as long as the
-    matrix is tall.
+    matrices; the empty matrix has the empty product, 1.  Raises
+    ``ValueError`` unless every row is as long as the matrix is tall.
     """
     n = len(rows)
     if 1 <= n <= 3:
@@ -98,7 +97,7 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1] if m else 1
 
 
 def _cofactor_rows(gens: tuple[ScaledPoint, ...]) -> list[tuple[int, ...]]:
@@ -687,7 +686,9 @@ class ResolutionReport:
 
     Sweeps keep one record per type, so it holds only numbers and flags:
     no group, fan, polynomial or per-ray data.  ``validation`` is ``None``
-    when the sampled validation was skipped; ``ms`` is wall clock.
+    when the sampled validation was skipped.  ``resolution_report`` leaves
+    ``ms`` at 0.0, so equal arguments give equal reports; ``measure_type``
+    sets it to the wall clock of its own call, the sweep CSV's ``ms``.
     """
 
     r: int
@@ -699,7 +700,7 @@ class ResolutionReport:
     crepant_by_ages: bool
     crepant_by_fan: bool
     validation: FanValidation | None
-    ms: float
+    ms: float = 0.0
 
     @property
     def identity_size_height(self) -> bool:
@@ -754,7 +755,6 @@ def resolution_report(
     otherwise, never twice.  When validating, ``samples`` and ``seed`` are
     checked before anything is built, so bad ones fail at once.
     """
-    t0 = time.perf_counter()
     if validate:
         _check_sampling(group.n, samples, seed)
     fan = build_resolution(group)
@@ -776,6 +776,5 @@ def resolution_report(
         crepant_by_ages=all(c.height() == 0 for c in coefficients),
         crepant_by_fan=fan.is_crepant(),
         validation=validation,
-        ms=(time.perf_counter() - t0) * 1000.0,
     )
     return report, fan

@@ -35,8 +35,8 @@ from .polynomial import RemainderPolynomial
 _SWEEP_CAP = 1_000_000
 
 # While a sweep runs: (r, sorted weights) -> the report of the first type of
-# that weight-permutation orbit it resolved.  None outside a sweep, so every
-# other call of measure_type resolves in full.
+# that weight-permutation orbit it resolved.  None outside a sweep, where
+# measure_type looks up in a fresh dict and so resolves in full.
 _orbit_memo: dict[tuple[int, ...], ResolutionReport] | None = None
 
 
@@ -138,14 +138,14 @@ def compare_2d(fan: Fan) -> Comparison2D:
     """Compare the fan of 1/r(1, a) against continued fractions and hulls.
 
     Checks that the number of exceptional rays equals the expansion length,
-    that the Euler characteristic exceeds it by one, that every exceptional
-    ray sits on the lower convex hull of the nonzero lattice points of the
-    quadrant, and that the expansion folds back to r/a.  The fan may come
-    from either weight order, 1/r(1, a) or 1/r(a, 1); rays are compared in
-    unit-first coordinates.  The r + 1 hull candidates are streamed, so the
-    time is O(r) and only the hull's vertices are kept.  Raises
-    ``ValueError`` unless the fan is two-dimensional with 0 < a < r and
-    gcd(r, a) = 1.
+    that the Euler characteristic exceeds it by one, that the exceptional
+    rays are distinct and sit on the lower convex hull of the nonzero
+    lattice points of the quadrant, and that the expansion folds back to
+    r/a.  The fan may come from either weight order, 1/r(1, a) or
+    1/r(a, 1); rays are compared in unit-first coordinates.  The r + 1 hull
+    candidates are streamed, so the time is O(r) and only the hull's
+    vertices are kept.  Raises ``ValueError`` unless the fan is
+    two-dimensional with 0 < a < r and gcd(r, a) = 1.
     """
     group = fan.group
     if group.n != 2:
@@ -171,7 +171,7 @@ def compare_2d(fan: Fan) -> Comparison2D:
         exceptional_rays=rays,
         count_matches=len(rays) == len(expansion),
         euler_matches=fan.euler == len(expansion) + 1,
-        rays_on_hull=all(_on_polyline(p, hull) for p in rays),
+        rays_on_hull=len(set(rays)) == len(rays) and all(_on_polyline(p, hull) for p in rays),
         round_trip=hj_evaluate(expansion) == Fraction(r, a),
     )
 
@@ -213,18 +213,16 @@ def measure_type(group: GroupType) -> ResolutionReport:
     flags are unchanged, and every leaf matrix only has its columns
     permuted, so |det| and with it ``smooth_all`` are unchanged too.  Every
     other member therefore copies the first member's record under its own
-    weights; its ``ms`` times only the lookup.  Outside a sweep every call
-    resolves in full.
+    weights.  Outside a sweep the memo is a fresh dict, so every call
+    resolves in full.  ``ms`` is the wall clock of this call: the whole
+    resolution for a first member, only the lookup for the others.
     """
-    memo = _orbit_memo
-    if memo is None:
-        return resolution_report(group, validate=False)[0]
     t0 = time.perf_counter()
+    memo = {} if _orbit_memo is None else _orbit_memo
     key = (group.r, *sorted(group.weights))
     first = memo.get(key)
     if first is None:
         memo[key] = first = resolution_report(group, validate=False)[0]
-        return first
     return replace(first, weights=group.weights, ms=(time.perf_counter() - t0) * 1000.0)
 
 

@@ -67,6 +67,8 @@ def det_by_permutations(rows):
 
 class TestDeterminant:
     def test_goldens(self):
+        # the empty matrix is square, with the empty product as determinant
+        assert det_int([]) == 1
         assert det_int([[5]]) == 5
         assert det_int([[1, 2], [3, 4]]) == -2
         assert det_int([[12, 0, 0], [0, 12, 0], [0, 0, 12]]) == 12**3

@@ -27,6 +27,7 @@ from fujiki_oka import (
     hj_evaluate,
     hj_expansion,
     measure_type,
+    resolution_report,
     summarize,
     sweep,
     write_sweep_csv,
@@ -115,6 +116,23 @@ class TestCompare2D:
             replace(ray, scaled=(2, 4)) if ray.scaled == (1, 2) else ray for ray in fan.rays
         )
         cmp2 = compare_2d(replace(fan, rays=moved))
+        assert cmp2.count_matches and cmp2.euler_matches and cmp2.round_trip
+        assert not cmp2.rays_on_hull
+        assert not cmp2.ok
+
+    @pytest.mark.parametrize(
+        "r, weights", [(5, (1, 2)), (12, (1, 7)), (12, (7, 1))], ids=["5-1,2", "12-1,7", "12-7,1"]
+    )
+    def test_detects_repeated_ray(self, r, weights):
+        # one hull ray stands in for another: the count still matches and
+        # every ray is still on the hull, but one hull vertex has no ray
+        fan = build_resolution(GroupType.from_weights(r, weights))
+        exceptional = [ray for ray in fan.rays if ray.exceptional]
+        kept, dropped = exceptional[0].scaled, exceptional[-1].scaled
+        doubled = tuple(
+            replace(ray, scaled=kept) if ray.scaled == dropped else ray for ray in fan.rays
+        )
+        cmp2 = compare_2d(replace(fan, rays=doubled))
         assert cmp2.count_matches and cmp2.euler_matches and cmp2.round_trip
         assert not cmp2.rays_on_hull
         assert not cmp2.ok
@@ -226,6 +244,18 @@ class TestMeasure:
         assert not rec.gorenstein
         assert rec.ok
         assert rec.ms >= 0
+
+    def test_reports_are_pure(self):
+        # resolution_report reads no clock, so equal arguments give equal
+        # reports; measure_type differs from it only in its own ms
+        for r, weights in ((12, (1, 2, 7)), (101, (1, 2, 3, 95))):
+            group = GroupType.from_weights(r, weights)
+            for validate in (False, True):
+                first = resolution_report(group, validate=validate)[0]
+                assert resolution_report(group, validate=validate)[0] == first
+            report = resolution_report(group, validate=False)[0]
+            assert report.ms == 0.0
+            assert _strip_ms(measure_type(group)) == _strip_ms(report)
 
     def test_gorenstein_crepant_record(self):
         rec = measure_type(GroupType.from_weights(12, (1, 4, 7)))
