@@ -15,15 +15,16 @@ everywhere-smooth fan, and the local types of the non-smooth nodes are the
 remainder polynomial's coefficients (``Fan.interior_types``).
 
 Every geometric decision is exact.  Validation settles coverage and faces
-on the cofactor rows of the maximal cones: samples by one numpy matmul per
-block of samples, faces by a linear-time pseudo-manifold certificate, or,
-when it fails, by the pairwise check in integers, which names the
-offending pairs.  Coverage needs the certificate as well as clean samples,
-which alone can miss a thin cone.  The samples come from the package's own
-SplitMix64 stream, so a seed tests the same points on every numpy version.
-Floating point enters only the sample products, and only while every
-product and partial sum is an integer below 2^53, which doubles hold
-exactly; past that they run on int64 below 2^62, then on Python ints.
+on the cofactor rows of the maximal cones: samples by numpy matmuls over
+bounded tiles of cones x samples, faces by a linear-time pseudo-manifold
+certificate, or, when it fails, by the pairwise check in integers, which
+names the offending pairs.  Coverage needs the certificate as well as
+clean samples, which alone can miss a thin cone.  The samples come from
+the package's own SplitMix64 stream, so a seed tests the same points on
+every numpy version.  Floating point enters only the sample products, and
+only while every product and partial sum is an integer below 2^53, which
+doubles hold exactly; past that they run on int64 below 2^62, then on
+Python ints.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .polynomial import expand
-from .propfrac import ProperFraction
+from .propfrac import ProperFraction, _as_int
 
 #: Fixed default seed for reproducible validation sampling.
 DEFAULT_SEED = 1729
@@ -49,8 +50,11 @@ ScaledPoint = tuple[int, ...]
 
 # sample coordinates are drawn from [1, _SAMPLE_SPAN]
 _SAMPLE_SPAN = 10**6
-# most entries of one (cones, n, samples) coverage product
-_COVERAGE_BUDGET = 2**20
+# most entries of one coverage tile, the product of a chunk of cones' rows
+# with a block of samples: 512 KB of float64, and at n <= 4 at most 2^18
+# multiply-adds, a gemm numpy's bundled OpenBLAS 0.3.31 was measured to run
+# on the calling thread alone (README, "Validation and reproducibility")
+_COVERAGE_BUDGET = 2**16
 # most entries of the (n, samples) int64 sample array: 256 MB
 _SAMPLE_BUDGET = 2**25
 
@@ -418,18 +422,19 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
     The samples come from the package's SplitMix64 stream (``_samples``),
     so the same seed tests the same points on every numpy version, and one
     draw serves every call with the same dimension, count and seed.  They
-    are tested in blocks whose product with the cones' cofactor rows holds
-    at most ``_COVERAGE_BUDGET`` entries, so memory stays bounded however
-    many cones and samples there are.  The product runs on float64 (BLAS) while
-    every product and partial sum is an integer below 2^53, on int64 below
-    2^62 and on Python ints past that, so every sign is exact.  A maximal
-    cone on linearly dependent generators (two equal ones, say), or whose
-    determinant r^(n-1) does not divide (a generator outside the lattice),
-    raises ``ValueError``, and so do ``samples < 0``, ``seed < 0`` and more
-    than ``_SAMPLE_BUDGET`` sample coordinates.
+    are tested in tiles, a block of samples against a chunk of the cones'
+    cofactor rows, whose product holds at most ``_COVERAGE_BUDGET`` entries,
+    so scratch memory stays bounded however many cones and samples there
+    are.  The products run on float64 (BLAS) while every product and partial
+    sum is an integer below 2^53, on int64 below 2^62 and on Python ints past
+    that, so every sign is exact.  A maximal cone on linearly dependent
+    generators (two equal ones, say), or whose determinant r^(n-1) does not
+    divide (a generator outside the lattice), raises ``ValueError``, and so
+    do a ``samples`` or ``seed`` that is not an integer (bools included) or
+    is negative, and more than ``_SAMPLE_BUDGET`` sample coordinates.
     """
     group = fan.group
-    _check_sampling(group.n, samples, seed)
+    samples, seed = _check_sampling(group.n, samples, seed)
 
     bad_mults = tuple(sorted({cone_multiplicity(c, group) for c in fan.max_cones} - {1}))
 
@@ -465,7 +470,10 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
     )
 
 
-def _check_sampling(n: int, samples: int, seed: int) -> None:
+def _check_sampling(n: int, samples: int, seed: int) -> tuple[int, int]:
+    """``samples`` and ``seed`` as plain ints, once they are checked."""
+    samples = _as_int(samples, "sample count must be an integer")
+    seed = _as_int(seed, "sampling seed must be an integer")
     if samples < 0:
         raise ValueError(f"sample count must be at least 0, got {samples}")
     if seed < 0:
@@ -475,31 +483,49 @@ def _check_sampling(n: int, samples: int, seed: int) -> None:
             f"{samples} samples in dimension {n} exceed the bound of "
             f"{_SAMPLE_BUDGET:,} sample coordinates"
         )
+    return samples, seed
 
 
 def _check_coverage(
     fan: Fan, normals: list, samples: int, seed: int
 ) -> tuple[int, int, int]:
+    """Uncovered, overlapping and boundary-gap sample counts.
+
+    Tiled over blocks of sample columns (outer) and chunks of cones
+    (inner); each tile's product holds at most ``_COVERAGE_BUDGET``
+    entries, and a block's per-sample counts are summed over its chunks
+    and dropped once tallied, so scratch memory is bounded by the budget
+    alone.  A fan with cones * n * samples at most the budget is one tile.
+    """
     if not fan.max_cones or samples == 0:
         return (samples, 0, 0)
     n = fan.group.n
-    cones = len(normals)
     dtype = _coverage_dtype(normals, n)
     pts = _samples(n, samples, seed)
-    mat = np.fromiter(_entries(normals), dtype).reshape(cones * n, n)
-    block = max(1, _COVERAGE_BUDGET // (cones * n))
+    mat = np.fromiter(_entries(normals), dtype).reshape(-1, n)
+    # the widest block that one cone's n rows fit, then as many cones as fit it
+    block = min(samples, max(1, _COVERAGE_BUDGET // n))
+    rows = n * max(1, _COVERAGE_BUDGET // (n * block))
     uncovered = overlapping = gaps = 0
     for start in range(0, samples, block):
-        # one gemm per block; a sample lies in a cone when its least
-        # barycentric sign there is >= 0, and inside it when > 0
-        lam = mat @ pts[:, start : start + block].astype(dtype)
-        low = lam.reshape(cones, n, -1).min(axis=1)
-        cov = (low >= 0).sum(axis=0, dtype=np.int32)
-        stc = (low > 0).sum(axis=0, dtype=np.int32)
+        cols = pts[:, start : start + block].astype(dtype)
+        cov, stc = _tile_counts(mat[:rows], cols, n)
+        for lo in range(rows, len(mat), rows):
+            more_cov, more_stc = _tile_counts(mat[lo : lo + rows], cols, n)
+            cov += more_cov
+            stc += more_stc
         uncovered += int(np.count_nonzero(cov == 0))
         overlapping += int(np.count_nonzero((cov >= 2) & (stc >= 1)))
         gaps += int(np.count_nonzero((cov == 1) & (stc == 0)))
     return uncovered, overlapping, gaps
+
+
+def _tile_counts(mat: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per sample column, how many of the tile's cones hold it and how many
+    hold it strictly inside: a sample lies in a cone when its least
+    barycentric sign there is >= 0, and inside it when > 0."""
+    low = (mat @ cols).reshape(-1, n, cols.shape[1]).min(axis=1)
+    return (low >= 0).sum(axis=0, dtype=np.int32), (low > 0).sum(axis=0, dtype=np.int32)
 
 
 def _entries(normals: list):

@@ -568,6 +568,25 @@ class TestValidateFan:
         with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
             validate_fan(self.golden(), seed=-1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": 1.5}, "sampling seed must be an integer, got 1.5"),
+        ({"samples": 2.5}, "sample count must be an integer, got 2.5"),
+        # bools are ints to Python, but True is no count and no seed
+        ({"samples": True}, "sample count must be an integer, got True"),
+        ({"seed": True}, "sampling seed must be an integer, got True"),
+    ])
+    def test_non_integer_sampling_is_refused(self, kwargs, message):
+        group = self.golden().group
+        with pytest.raises(ValueError, match=message):
+            validate_fan(self.golden(), **kwargs)
+        with pytest.raises(ValueError, match=message):
+            resolution_report(group, **kwargs)
+
+    def test_integer_likes_are_taken_as_ints(self):
+        v = validate_fan(self.golden(), samples=np.int64(64), seed=np.uint8(3))
+        assert v == validate_fan(self.golden(), samples=64, seed=3)
+        assert type(v.samples) is int and type(v.seed) is int
+
     def test_thin_missing_cone_fails(self, monkeypatch):
         # no sample lands in the dropped cone, and no pair of the others
         # meets badly; only the certificate sees the gap.  The draw is the
@@ -650,14 +669,17 @@ def coverage_dtype(fan, scale=1):
 TIER_SCALES = ((1, np.float64), (2**30, np.int64), (2**45, object))
 
 
-def golden_variants():
-    """The golden fan, with its first cone dropped, and with two cones doubled."""
-    fan = TestValidateFan().golden()
+def variants(fan):
+    """The fan, with its first cone dropped, and with two cones doubled."""
     return [
         fan,
         replace(fan, max_cones=fan.max_cones[1:]),
         replace(fan, max_cones=fan.max_cones + fan.max_cones[:2]),
     ]
+
+
+def golden_variants():
+    return variants(TestValidateFan().golden())
 
 
 class TestExactCoverage:
@@ -705,15 +727,40 @@ class TestExactCoverage:
         assert dropped.uncovered > 0
         assert not dropped.coverage_ok
 
-    @pytest.mark.parametrize("budget", [3 * 7, 3 * 64, 3 * 999])
+    @pytest.mark.parametrize("budget", [3 * 7, 3 * 64, 3 * 999, 3 * 1000 * 3, 4 * 1000 * 3])
     def test_sample_blocks_give_the_same_counts(self, budget, monkeypatch):
         # a budget below cones * n * samples splits the samples into blocks,
-        # the last one short; the counts must add up to the one-block ones
-        fans = golden_variants()
+        # the last one short, or, once a block is all 1000 samples, the
+        # cones into chunks: 3 * 1000 * 3 gives the 8, 7 and 10 cones of the
+        # golden variants chunks of 3 and a short last one, and the 25 cones
+        # of 1/5(1,2,3,4) chunks of 2 and a last one of 1.  The counts must
+        # add up to the one-tile ones.
+        four_dim = build_resolution(GroupType.from_weights(5, (1, 2, 3, 4)))
+        fans = golden_variants() + variants(four_dim)
         whole = [coverage_counts(f) for f in fans]
+        assert whole[0] == whole[3] == (0, 0, 0)
+        assert whole[4][0] > 0 and whole[5][1] > 0
         monkeypatch.setattr(fan_mod, "_COVERAGE_BUDGET", budget)
         for scale, _ in TIER_SCALES:
             assert [coverage_counts(f, scale) for f in fans] == whole
+
+    @pytest.mark.parametrize("r, weights", [(3001, (1, 2, 2998)), (101, (1, 2, 3, 95))])
+    def test_coverage_scratch_is_one_tile(self, r, weights):
+        # the kernel holds one tile of _COVERAGE_BUDGET float64s and a
+        # block's per-sample counts, whatever the number of cones; one
+        # product of every cone's rows with every sample would take 7.5 MB
+        # of float64 on 1/101(1,2,3,95) and 72 MB on 1/3001(1,2,2998)
+        fan = build_resolution(GroupType.from_weights(r, weights))
+        normals = face_normals(fan)
+        tracemalloc.start()
+        try:
+            counts = fan_mod._check_coverage(fan, normals, 1000, fan_mod.DEFAULT_SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == (0, 0, 0)
+        assert len(fan.max_cones) * fan.group.n * 1000 > 8 * fan_mod._COVERAGE_BUDGET
+        assert peak < 2 * 2**20
 
     def test_memory_is_bounded_in_samples_times_cones(self):
         fan = build_resolution(GroupType.from_weights(3001, (1, 2, 2998)))
@@ -724,8 +771,9 @@ class TestExactCoverage:
         finally:
             tracemalloc.stop()
         assert v.passed and len(fan.max_cones) == 3001
-        # one (cones, n, samples) product alone would be 3001 * 3 * 1000 int64s
-        assert peak < 40 * 2**20
+        # one (cones, n, samples) product alone would be 3001 * 3 * 1000
+        # int64s, 72 MB; the cofactor rows and one coverage tile take 3.5 MB
+        assert peak < 8 * 2**20
 
 
 class TestSampleMemo:
