@@ -15,10 +15,10 @@ everywhere-smooth fan, and the local types of the non-smooth nodes are the
 remainder polynomial's coefficients (``Fan.interior_types``).
 
 Every geometric decision is exact.  Validation settles coverage and faces
-on the cofactor rows of the maximal cones: samples by numpy matmuls over
-bounded tiles of cones x samples, faces by a linear-time pseudo-manifold
-certificate, or, when it fails, by the pairwise check in integers, which
-names the offending pairs.  Coverage needs the certificate as well as
+on the cofactor rows of the maximal cones: samples by numpy matmuls in one
+loop over bounded tiles of samples x cones, faces by a linear-time
+pseudo-manifold certificate, or, when it fails, by the pairwise check in
+integers, which names the offending pairs.  Coverage needs the certificate as well as
 clean samples, which alone can miss a thin cone.  The samples come from
 the package's own SplitMix64 stream, so a seed tests the same points on
 every numpy version.  Floating point enters only the sample products, and
@@ -421,13 +421,14 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
 
     The samples come from the package's SplitMix64 stream (``_samples``),
     so the same seed tests the same points on every numpy version, and one
-    draw serves every call with the same dimension, count and seed.  They
-    are tested in tiles, a block of samples against a chunk of the cones'
-    cofactor rows, whose product holds at most ``_COVERAGE_BUDGET`` entries,
-    so scratch memory stays bounded however many cones and samples there
-    are.  The products run on float64 (BLAS) while every product and partial
-    sum is an integer below 2^53, on int64 below 2^62 and on Python ints past
-    that, so every sign is exact.  A maximal cone on linearly dependent
+    draw serves every call with the same dimension, count and seed.  One
+    loop tests them on every fan, in tiles of a block of samples against a
+    chunk of the cones' cofactor rows, whose product holds at most
+    ``_COVERAGE_BUDGET`` entries, so scratch memory stays bounded however
+    many cones and samples there are; a fan with no cones leaves every
+    sample uncovered.  The products run on float64 (BLAS) while every
+    product and partial sum is an integer below 2^53, on int64 below 2^62
+    and on Python ints past that, so every sign is exact.  A maximal cone on linearly dependent
     generators (two equal ones, say), or whose determinant r^(n-1) does not
     divide (a generator outside the lattice), raises ``ValueError``, and so
     do a ``samples`` or ``seed`` that is not an integer (bools included) or
@@ -449,7 +450,7 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
 
     normals = [_cofactor_rows(c.generators) for c in fan.max_cones]
 
-    uncovered, overlapping, gaps = _check_coverage(fan, normals, samples, seed)
+    uncovered, overlapping, gaps = _check_coverage(normals, group.n, samples, seed)
     certified = _facets_certified(fan, normals)
     bad_pairs = [] if certified else _check_faces(fan, normals)
 
@@ -486,46 +487,38 @@ def _check_sampling(n: int, samples: int, seed: int) -> tuple[int, int]:
     return samples, seed
 
 
-def _check_coverage(
-    fan: Fan, normals: list, samples: int, seed: int
-) -> tuple[int, int, int]:
+def _check_coverage(normals: list, n: int, samples: int, seed: int) -> tuple[int, int, int]:
     """Uncovered, overlapping and boundary-gap sample counts.
 
-    Tiled over blocks of sample columns (outer) and chunks of cones
-    (inner); each tile's product holds at most ``_COVERAGE_BUDGET``
-    entries, and a block's per-sample counts are summed over its chunks
-    and dropped once tallied, so scratch memory is bounded by the budget
-    alone.  A fan with cones * n * samples at most the budget is one tile.
+    One loop for every fan: blocks of sample columns outside, chunks of
+    cones inside, each tile's product at most ``_COVERAGE_BUDGET`` entries.
+    A sample lies in a cone when its least barycentric sign there is >= 0,
+    and inside it when > 0; a block's per-sample counts start at zero, sum
+    over every chunk and are dropped once tallied.  So a fan with no cones
+    leaves every sample uncovered, and no samples give no counts.  Both
+    tile levels were measured to carry weight: cone chunks keep the blocks
+    wide, and sample blocks bound the scratch in the sample count (README,
+    "Validation and reproducibility").
     """
-    if not fan.max_cones or samples == 0:
-        return (samples, 0, 0)
-    n = fan.group.n
     dtype = _coverage_dtype(normals, n)
     pts = _samples(n, samples, seed)
     mat = np.fromiter(_entries(normals), dtype).reshape(-1, n)
     # the widest block that one cone's n rows fit, then as many cones as fit it
-    block = min(samples, max(1, _COVERAGE_BUDGET // n))
+    block = max(1, min(samples, _COVERAGE_BUDGET // n))
     rows = n * max(1, _COVERAGE_BUDGET // (n * block))
     uncovered = overlapping = gaps = 0
     for start in range(0, samples, block):
         cols = pts[:, start : start + block].astype(dtype)
-        cov, stc = _tile_counts(mat[:rows], cols, n)
-        for lo in range(rows, len(mat), rows):
-            more_cov, more_stc = _tile_counts(mat[lo : lo + rows], cols, n)
-            cov += more_cov
-            stc += more_stc
+        cov = np.zeros(cols.shape[1], np.int32)
+        stc = np.zeros(cols.shape[1], np.int32)
+        for lo in range(0, len(mat), rows):
+            low = (mat[lo : lo + rows] @ cols).reshape(-1, n, cols.shape[1]).min(axis=1)
+            cov += (low >= 0).sum(axis=0, dtype=np.int32)
+            stc += (low > 0).sum(axis=0, dtype=np.int32)
         uncovered += int(np.count_nonzero(cov == 0))
         overlapping += int(np.count_nonzero((cov >= 2) & (stc >= 1)))
         gaps += int(np.count_nonzero((cov == 1) & (stc == 0)))
     return uncovered, overlapping, gaps
-
-
-def _tile_counts(mat: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per sample column, how many of the tile's cones hold it and how many
-    hold it strictly inside: a sample lies in a cone when its least
-    barycentric sign there is >= 0, and inside it when > 0."""
-    low = (mat @ cols).reshape(-1, n, cols.shape[1]).min(axis=1)
-    return (low >= 0).sum(axis=0, dtype=np.int32), (low > 0).sum(axis=0, dtype=np.int32)
 
 
 def _entries(normals: list):

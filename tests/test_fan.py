@@ -657,7 +657,8 @@ def scaled_normals(fan, scale):
 
 
 def coverage_counts(fan, scale=1):
-    return fan_mod._check_coverage(fan, scaled_normals(fan, scale), 1000, fan_mod.DEFAULT_SEED)
+    normals = scaled_normals(fan, scale)
+    return fan_mod._check_coverage(normals, fan.group.n, 1000, fan_mod.DEFAULT_SEED)
 
 
 def coverage_dtype(fan, scale=1):
@@ -754,13 +755,44 @@ class TestExactCoverage:
         normals = face_normals(fan)
         tracemalloc.start()
         try:
-            counts = fan_mod._check_coverage(fan, normals, 1000, fan_mod.DEFAULT_SEED)
+            counts = fan_mod._check_coverage(normals, fan.group.n, 1000, fan_mod.DEFAULT_SEED)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert counts == (0, 0, 0)
         assert len(fan.max_cones) * fan.group.n * 1000 > 8 * fan_mod._COVERAGE_BUDGET
         assert peak < 2 * 2**20
+
+    def test_coverage_scratch_is_bounded_in_samples(self):
+        # 200,000 samples are 13 blocks of 2^14; one block of them all would
+        # hold a (4, 200000) float64 copy of the samples and a product of as
+        # many entries, about 17 MB of scratch, where the blocks take 1.4 MB.
+        # The memo holds the samples before tracing, so only scratch counts.
+        n, samples, seed = 4, 200_000, fan_mod.DEFAULT_SEED
+        fan = build_resolution(GroupType.from_weights(101, (1, 2, 3, 95)))
+        normals = face_normals(fan)
+        fan_mod._samples(n, samples, seed)
+        tracemalloc.start()
+        try:
+            counts = fan_mod._check_coverage(normals, n, samples, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == (0, 0, 0)
+        assert n * samples > 8 * fan_mod._COVERAGE_BUDGET
+        assert peak < 4 * 2**20
+
+    def test_no_cones_and_no_samples(self):
+        # every sample of a fan with no cones is uncovered, and it has no
+        # facets to certify; no samples give no counts
+        golden = TestValidateFan().golden()
+        v = validate_fan(replace(golden, max_cones=()))
+        assert (v.uncovered, v.overlapping, v.boundary_gaps) == (1000, 0, 0)
+        assert v.faces_ok and not v.faces_certified
+        assert not v.coverage_ok and not v.passed
+        n, seed = golden.group.n, fan_mod.DEFAULT_SEED
+        assert fan_mod._check_coverage(face_normals(golden), n, 0, seed) == (0, 0, 0)
+        assert fan_mod._check_coverage([], n, 1000, seed) == (1000, 0, 0)
 
     def test_memory_is_bounded_in_samples_times_cones(self):
         fan = build_resolution(GroupType.from_weights(3001, (1, 2, 2998)))
