@@ -34,10 +34,10 @@ print(f"first subdivision point: {point}")
 print()
 
 # every cone the subdivision produced, depth-first with children in index order
-for cone in fan.nodes:
+for cone, word in zip(fan.nodes, fan.words()):
     mult = cone_multiplicity(cone, group)
-    pad = "  " * len(cone.word)
-    print(f"{pad}cone {cone.word or '()'}: type {cone.local_type}, multiplicity {mult}")
+    pad = "  " * len(word)
+    print(f"{pad}cone {word or '()'}: type {cone.local_type}, multiplicity {mult}")
 print()
 
 # the smooth leaves are the maximal cones; the fan indexes their rays

@@ -203,14 +203,12 @@ class Cone:
     """A simplicial cone tagged with the quotient data it still carries.
 
     ``generators`` are scaled lattice points in a fixed slot order; the
-    local type's k-th numerator refers to slot k.  ``word`` is the path of
-    subdivision indices that produced the cone (1-based, empty for the
-    initial orthant).
+    local type's k-th numerator refers to slot k.  Where the cone sits in
+    the subdivision tree is the fan's to say (``Fan.words``).
     """
 
     generators: tuple[ScaledPoint, ...]
     local_type: ProperFraction
-    word: tuple[int, ...]
 
     def is_smooth_type(self) -> bool:
         return self.local_type.denominator == 1
@@ -247,8 +245,9 @@ class Fan:
     """The resolution of a type: a smooth subdivision of the positive orthant.
 
     ``max_cones`` are the leaves in depth-first order; ``nodes`` is every
-    cone ever produced, in the same order, so the subdivision tree can be
-    reconstructed from words.  ``rays`` deduplicates the leaf generators in
+    cone ever produced, in preorder with children in index order, which
+    records the subdivision tree once: a non-smooth node's children are its
+    nonzero slots (``words``).  ``rays`` deduplicates the leaf generators in
     creation order (axes first, then subdivision points as they appeared).
     """
 
@@ -267,6 +266,22 @@ class Fan:
         """Local types of the non-smooth nodes, depth-first: the
         coefficients of the type's remainder polynomial."""
         return tuple(c.local_type for c in self.nodes if not c.is_smooth_type())
+
+    def words(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's word, in ``nodes`` order: the 1-based slots of the
+        subdivisions that produced it, empty for the orthant.
+
+        One walk over the preorder, as ``build_resolution`` made it.
+        """
+        words = []
+        stack = [()]
+        for cone in self.nodes:
+            word = stack.pop()
+            words.append(word)
+            if not cone.is_smooth_type():
+                nums = cone.local_type.numerators
+                stack.extend(word + (k,) for k in range(len(nums), 0, -1) if nums[k - 1])
+        return tuple(words)
 
     def is_crepant(self) -> bool:
         """True when every exceptional ray has discrepancy zero."""
@@ -296,9 +311,9 @@ def star_subdivide(cone: Cone, group: GroupType) -> tuple[ScaledPoint, list[Cone
     """Star-subdivide one cone at the point named by its local type.
 
     The point is ``sum_k b_k g_k / s`` for local type ``(b_1,...,b_n)/s``.
-    Child k swaps generator k for that point, appends k to the word and
-    carries the k-th remainder image as its local type; slots with
-    ``b_k = 0`` would give a lower-dimensional cone and are omitted.
+    Child k swaps generator k for that point and carries the k-th remainder
+    image as its local type; slots with ``b_k = 0`` would give a
+    lower-dimensional cone and are omitted.
     Returns the point and the children.
     """
     b = cone.local_type
@@ -311,18 +326,18 @@ def star_subdivide(cone: Cone, group: GroupType) -> tuple[ScaledPoint, list[Cone
     for col in zip(*gens):
         q, rem = divmod(sum(map(mul, nums, col)), s)
         if rem:
-            raise ArithmeticError(f"subdivision point of {cone.word} is not integral")
+            raise ArithmeticError(
+                f"subdivision point of the cone on {gens} of type {b} is not integral"
+            )
         w.append(q)
     point = tuple(w)
     if not group.contains(point):
         raise ArithmeticError(f"subdivision point {point} escapes the lattice")
-    children = []
-    word = cone.word
-    for k, bk in enumerate(nums):
-        if bk:
-            children.append(
-                Cone(gens[:k] + (point,) + gens[k + 1 :], b.remainder(k + 1), word + (k + 1,))
-            )
+    children = [
+        Cone(gens[:k] + (point,) + gens[k + 1 :], b.remainder(k + 1))
+        for k, bk in enumerate(nums)
+        if bk
+    ]
     return point, children
 
 
@@ -352,7 +367,7 @@ def build_resolution(group: GroupType) -> Fan:
     creation: list[ScaledPoint] = list(axes)
     nodes: list[Cone] = []
     leaves: list[Cone] = []
-    stack: list[Cone] = [Cone(axes, group.fraction, ())]
+    stack: list[Cone] = [Cone(axes, group.fraction)]
     while stack:
         cone = stack.pop()
         nodes.append(cone)
@@ -495,20 +510,19 @@ def _check_coverage(normals: list, n: int, samples: int, seed: int) -> tuple[int
     A sample lies in a cone when its least barycentric sign there is >= 0,
     and inside it when > 0; a block's per-sample counts start at zero, sum
     over every chunk and are dropped once tallied.  So a fan with no cones
-    leaves every sample uncovered, and no samples give no counts.  Both
-    tile levels were measured to carry weight: cone chunks keep the blocks
-    wide, and sample blocks bound the scratch in the sample count (README,
-    "Validation and reproducibility").
+    leaves every sample uncovered, and no samples give no counts and draw
+    none.  Both tile levels were measured to carry weight: cone chunks keep
+    the blocks wide, and sample blocks bound the scratch in the sample count
+    (README, "Validation and reproducibility").
     """
     dtype = _coverage_dtype(normals, n)
-    pts = _samples(n, samples, seed)
     mat = np.fromiter(_entries(normals), dtype).reshape(-1, n)
     # the widest block that one cone's n rows fit, then as many cones as fit it
     block = max(1, min(samples, _COVERAGE_BUDGET // n))
     rows = n * max(1, _COVERAGE_BUDGET // (n * block))
     uncovered = overlapping = gaps = 0
     for start in range(0, samples, block):
-        cols = pts[:, start : start + block].astype(dtype)
+        cols = _samples(n, samples, seed)[:, start : start + block].astype(dtype)
         cov = np.zeros(cols.shape[1], np.int32)
         stc = np.zeros(cols.shape[1], np.int32)
         for lo in range(0, len(mat), rows):

@@ -18,12 +18,14 @@ from .polynomial import RemainderPolynomial
 def fan_to_json(fan: Fan) -> dict:
     """JSON-ready summary of a fan and its arithmetic cross-checks.
 
-    Cones reference rays by index into the ``rays`` array, and each cone's
-    multiplicity is its leaf determinant; the size and total height are
-    summed over the fan's ``interior_types``.
+    Cones reference rays by index into the ``rays`` array, each cone's word
+    is the leaf word in the same position (``ValueError`` when the counts
+    differ), and each cone's multiplicity is its leaf determinant; the size
+    and total height are summed over the fan's ``interior_types``.
     """
     index = {ray.scaled: i for i, ray in enumerate(fan.rays)}
     types = fan.interior_types
+    leaf_words = [w for c, w in zip(fan.nodes, fan.words()) if c.is_smooth_type()]
     return {
         "group": {"r": fan.group.r, "weights": list(fan.group.weights)},
         "rays": [
@@ -38,10 +40,10 @@ def fan_to_json(fan: Fan) -> dict:
         "max_cones": [
             {
                 "ray_indices": [index[g] for g in cone.generators],
-                "word": list(cone.word),
+                "word": list(word),
                 "multiplicity": cone_multiplicity(cone, fan.group),
             }
-            for cone in fan.max_cones
+            for cone, word in zip(fan.max_cones, leaf_words, strict=True)
         ],
         "euler": fan.euler,
         "height_total": sum(t.height() for t in types),
@@ -139,12 +141,11 @@ def subdivision_tree_dot(fan: Fan) -> str:
         "digraph subdivision {",
         '  node [shape=box, fontname="monospace"];',
     ]
-    for cone in fan.nodes:
-        word = "(" + ",".join(str(k) for k in cone.word) + ")"
-        label = f"{word} {cone.local_type}"
-        lines.append(f'  {_node_name(cone.word)} [label="{label}"];')
-    for cone in fan.nodes:
-        if cone.word:
-            lines.append(f"  {_node_name(cone.word[:-1])} -> {_node_name(cone.word)};")
+    words = fan.words()
+    for cone, word in zip(fan.nodes, words):
+        label = "(" + ",".join(str(k) for k in word) + f") {cone.local_type}"
+        lines.append(f'  {_node_name(word)} [label="{label}"];')
+    for word in words[1:]:
+        lines.append(f"  {_node_name(word[:-1])} -> {_node_name(word)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -2,8 +2,9 @@
 
 One test per criterion, each printing a single bracketed pass/fail line
 (visible with ``pytest -s``).  Time limits are asserted with
-``time.perf_counter`` on a warmed-up call; exact checks carry no tolerance
-at all, everything is integer or Fraction arithmetic.
+``time.perf_counter`` on a warmed-up call, and the criteria that assert
+one carry the ``wallclock`` marker; exact checks carry no tolerance at all,
+everything is integer or Fraction arithmetic.
 """
 
 import math
@@ -64,6 +65,7 @@ def sweep_records():
     return records, elapsed
 
 
+@pytest.mark.wallclock
 def test_criterion_01_golden_expansion():
     expand(GOLDEN)  # warm-up
     poly = expand(GOLDEN)
@@ -78,6 +80,7 @@ def test_criterion_01_golden_expansion():
     )
 
 
+@pytest.mark.wallclock
 def test_criterion_02_golden_resolution():
     group = GroupType(GOLDEN)
     fan = build_resolution(group)
@@ -118,6 +121,7 @@ def test_criterion_03_published_statistics():
     )
 
 
+@pytest.mark.wallclock
 def test_criterion_04_size_height_smoothness_sweep(sweep_records):
     records, elapsed = sweep_records
     bad = [
@@ -166,6 +170,7 @@ def test_criterion_06_crepancy(sweep_records):
     )
 
 
+@pytest.mark.wallclock
 def test_criterion_07_families():
     t0 = time.perf_counter()
     bad = []
@@ -184,6 +189,7 @@ def test_criterion_07_families():
     )
 
 
+@pytest.mark.wallclock
 def test_criterion_08_surface_oracle():
     t0 = time.perf_counter()
     bad = []

@@ -3,7 +3,7 @@
 import math
 import random
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -42,9 +42,16 @@ def small_types():
 
 
 def interior_nodes(fan):
-    """word -> (numerators, denominator) of every non-smooth node."""
+    """word -> (numerators, denominator) of every non-smooth node, with the
+    words ``Fan.words`` reads off the preorder."""
+    words = fan.words()
+    assert len(words) == len(fan.nodes)
     nodes = [c for c in fan.nodes if not c.is_smooth_type()]
-    table = {c.word: (c.local_type.numerators, c.local_type.denominator) for c in nodes}
+    table = {
+        w: (c.local_type.numerators, c.local_type.denominator)
+        for c, w in zip(fan.nodes, words)
+        if not c.is_smooth_type()
+    }
     assert len(table) == len(nodes)
     # the accessor that sweep records and the fan JSON read
     assert fan.interior_types == tuple(c.local_type for c in nodes)
@@ -192,7 +199,7 @@ class TestSubdivision:
     def setup_method(self):
         self.group = GroupType.from_weights(12, (1, 2, 7))
         self.axes = ((12, 0, 0), (0, 12, 0), (0, 0, 12))
-        self.root = Cone(self.axes, self.group.fraction, ())
+        self.root = Cone(self.axes, self.group.fraction)
 
     def test_subdivision_point(self):
         point, _ = star_subdivide(self.root, self.group)
@@ -200,7 +207,6 @@ class TestSubdivision:
 
     def test_children(self):
         _, kids = star_subdivide(self.root, self.group)
-        assert [c.word for c in kids] == [(1,), (2,), (3,)]
         assert kids[0].generators == ((1, 2, 7), (0, 12, 0), (0, 0, 12))
         assert kids[1].generators == ((12, 0, 0), (1, 2, 7), (0, 0, 12))
         assert kids[2].generators == ((12, 0, 0), (0, 12, 0), (1, 2, 7))
@@ -211,20 +217,25 @@ class TestSubdivision:
     def test_zero_weight_slot_dropped(self):
         group = GroupType.from_weights(2, (1, 1, 0))
         axes = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
-        _, kids = star_subdivide(Cone(axes, group.fraction, ()), group)
-        assert [c.word for c in kids] == [(1,), (2,)]
+        point, kids = star_subdivide(Cone(axes, group.fraction), group)
+        # slots 1 and 2 are replaced; slot 3 would give a flat cone
+        assert [c.generators for c in kids] == [
+            (point, axes[1], axes[2]),
+            (axes[0], point, axes[2]),
+        ]
 
     def test_multiplicity_matches_local_denominator(self):
         for cone in star_subdivide(self.root, self.group)[1]:
             assert cone_multiplicity(cone, self.group) == cone.local_type.denominator
 
     def test_non_integral_point_is_refused(self):
-        cone = Cone(self.axes, ProperFraction((1, 1, 0), 5), ())
-        with pytest.raises(ArithmeticError, match="not integral"):
+        cone = Cone(self.axes, ProperFraction((1, 1, 0), 5))
+        match = r"cone on \(\(12, 0, 0\), \(0, 12, 0\), \(0, 0, 12\)\) of type \(1,1,0\)/5"
+        with pytest.raises(ArithmeticError, match=match + " is not integral"):
             star_subdivide(cone, self.group)
 
     def test_point_outside_the_lattice_is_refused(self):
-        cone = Cone(self.axes, ProperFraction((1, 1, 1), 2), ())
+        cone = Cone(self.axes, ProperFraction((1, 1, 1), 2))
         with pytest.raises(ArithmeticError, match=r"\(6, 6, 6\) escapes the lattice"):
             star_subdivide(cone, self.group)
 
@@ -237,9 +248,7 @@ class TestSubdivision:
         assert cone_multiplicity(self.root, self.group) == 12
 
     def test_degenerate_cone_rejected(self):
-        bad = Cone(
-            ((12, 0, 0), (24, 0, 0), (0, 0, 12)), self.group.fraction, ()
-        )
+        bad = Cone(((12, 0, 0), (24, 0, 0), (0, 0, 12)), self.group.fraction)
         with pytest.raises(ValueError):
             cone_multiplicity(bad, self.group)
 
@@ -260,27 +269,39 @@ class TestBuildResolution:
             (7, 2, 1),
         ]
         assert [ray.exceptional for ray in fan.rays] == [False] * 3 + [True] * 4
-        assert [c.word for c in fan.max_cones] == [
-            (1,),
-            (2, 1),
-            (2, 3),
-            (3, 1),
-            (3, 2, 1),
-            (3, 2, 2),
-            (3, 3, 1),
-            (3, 3, 3),
-        ]
+        # a cone holds only its generators and local type; the tree is the
+        # fan's, one word per node in preorder, children in slot order
+        assert [f.name for f in fields(Cone)] == ["generators", "local_type"]
+        assert fan.words() == (
+            (), (1,), (2,), (2, 1), (2, 3), (3,), (3, 1),
+            (3, 2), (3, 2, 1), (3, 2, 2), (3, 3), (3, 3, 1), (3, 3, 3),
+        )
         assert len(fan.nodes) == 13
         assert all(cone_multiplicity(c, g) == 1 for c in fan.max_cones)
         assert not fan.is_crepant()
+
+    def test_build_memory_is_linear_in_depth(self):
+        # 1/3001(1,2,2998) has 5,001 nodes down to depth 1,001; a word
+        # stored on every cone would copy its parent's, 2.5 M entries in all
+        g = GroupType.from_weights(3001, (1, 2, 2998))
+        tracemalloc.start()
+        try:
+            fan = build_resolution(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fan.max_cones) == 3001
+        assert max(map(len, fan.words())) == 1001
+        assert peak < 5 * 2**20
 
     def test_shared_wall_between_subtrees(self):
         # the two cones from different branches both pick up (7,2,1)
         g = GroupType.from_weights(12, (1, 2, 7))
         fan = build_resolution(g)
-        holders = [c for c in fan.max_cones if (7, 2, 1) in c.generators]
+        leaves = [(c, w) for c, w in zip(fan.nodes, fan.words()) if c.is_smooth_type()]
+        holders = [w for c, w in leaves if (7, 2, 1) in c.generators]
         assert len(holders) == 4
-        assert {c.word[:2] for c in holders} == {(3, 2), (3, 3)}
+        assert {w[:2] for w in holders} == {(3, 2), (3, 3)}
 
     def test_takes_only_the_group(self):
         # every fan is a complete resolution; there is no depth cap
@@ -426,7 +447,7 @@ class TestValidateFan:
         g = GroupType.from_weights(2, (1, 1))
         fan = build_resolution(g)
         assert validate_fan(fan).passed
-        quadrant = Cone(((2, 0), (0, 2)), g.fraction, ())
+        quadrant = Cone(((2, 0), (0, 2)), g.fraction)
         broken = replace(fan, max_cones=(fan.max_cones[0], quadrant))
         v = validate_fan(broken)
         assert not v.multiplicity_ok
@@ -443,7 +464,7 @@ class TestValidateFan:
         assert validate_fan(fan).passed
         keep = fan.max_cones[0]
         assert keep.generators == ((1, 1, 0), (0, 2, 0), (0, 0, 2))
-        skew = Cone(((2, 0, 0), (1, 1, 0), (1, 1, 2)), ProperFraction((0, 0, 0), 1), (9,))
+        skew = Cone(((2, 0, 0), (1, 1, 0), (1, 1, 2)), ProperFraction((0, 0, 0), 1))
         assert cone_multiplicity(skew, g) == 1
         broken = replace(fan, max_cones=(keep, skew))
         v = validate_fan(broken)
@@ -458,7 +479,7 @@ class TestValidateFan:
         g = GroupType.from_weights(2, (1, 1))
         a, b, c, d, e = (2, 0), (3, 1), (4, 2), (1, 3), (0, 2)
         cones = tuple(
-            Cone(gens, g.fraction, (9,)) for gens in ((a, b), (b, d), (c, d), (c, e))
+            Cone(gens, g.fraction) for gens in ((a, b), (b, d), (c, d), (c, e))
         )
         fan = replace(build_resolution(g), max_cones=cones)
         v = validate_fan(fan)
@@ -470,7 +491,7 @@ class TestValidateFan:
         # facet with the resolution; only the witness sees it
         g = GroupType.from_weights(2, (1, 1))
         fan = build_resolution(g)
-        layer = Cone(((4, 0), (0, 4)), g.fraction, (9,))
+        layer = Cone(((4, 0), (0, 4)), g.fraction)
         v = validate_fan(replace(fan, max_cones=fan.max_cones + (layer,)))
         assert not v.faces_certified
         assert v.bad_pairs == ((0, 2), (1, 2))
@@ -482,7 +503,7 @@ class TestValidateFan:
         g = GroupType.from_weights(2, (1, 1))
         fan = build_resolution(g)
         assert fan.max_cones[1].generators == ((2, 0), (1, 1))
-        third = Cone(((4, 0), (1, 1)), g.fraction, (9,))
+        third = Cone(((4, 0), (1, 1)), g.fraction)
         v = validate_fan(replace(fan, max_cones=fan.max_cones + (third,)))
         assert not v.faces_certified
         assert v.bad_pairs == ((1, 2),)
@@ -493,7 +514,7 @@ class TestValidateFan:
         # overlap each other outside the orthant the samples are drawn from
         fan = self.golden()
         layers = tuple(
-            Cone(((-k, 0, 0), (0, -k, 0), (0, 0, -k)), fan.group.fraction, (9,))
+            Cone(((-k, 0, 0), (0, -k, 0), (0, 0, -k)), fan.group.fraction)
             for k in (12, 24)
         )
         v = validate_fan(replace(fan, max_cones=fan.max_cones + layers))
@@ -559,7 +580,7 @@ class TestValidateFan:
         with pytest.raises(ValueError, match="degenerate"):
             validate_fan(replace(fan, max_cones=(flat,) + fan.max_cones[1:]))
         g = GroupType.from_weights(4, (1, 1))
-        alien = Cone(((3, 0), (0, 3)), g.fraction, ())
+        alien = Cone(((3, 0), (0, 3)), g.fraction)
         with pytest.raises(ValueError, match="divisible"):
             validate_fan(replace(build_resolution(g), max_cones=(alien,)))
 
@@ -829,6 +850,24 @@ class TestSampleMemo:
             fresh.append(validate_fan(f, seed=seed))
         assert shared == fresh
         assert sum(v.uncovered for v in fresh) > 0
+
+    def test_zero_samples_draw_nothing(self):
+        # a samples=0 call tests no points, so it must not take a memo slot
+        # and evict a draw that a later call with samples would reuse
+        memo = fan_mod._samples
+        a, b = (build_resolution(GroupType.from_weights(r, w))
+                for r, w in ((12, (1, 2, 7)), (5, (1, 2, 3, 4))))
+        memo.cache_clear()
+        try:
+            validate_fan(a)
+            validate_fan(b)
+            validate_fan(a, samples=0)
+            assert memo.cache_info().misses == 2
+            validate_fan(a)
+            validate_fan(b)
+            assert memo.cache_info().misses == 2
+        finally:
+            memo.cache_clear()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", [2, 3, 4])

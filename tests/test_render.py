@@ -76,6 +76,13 @@ class TestJson:
         assert data["max_cones"][0]["multiplicity"] == 5
         assert [c["multiplicity"] for c in data["max_cones"][1:]] == [1, 1]
 
+    def test_cone_count_must_match_the_leaves(self):
+        # words pair with the leaves by position, so a fan with a cone
+        # dropped cannot print its words shifted onto the wrong cones
+        fan = golden_fan()
+        with pytest.raises(ValueError, match="zip"):
+            fan_to_json(replace(fan, max_cones=fan.max_cones[1:]))
+
     def test_size_and_height_are_the_expansion(self):
         # the fan's interior local types are the polynomial's coefficients
         for dim, r_max in ((2, 20), (3, 8), (4, 4)):
