@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
-from operator import mul
+from operator import itemgetter, mul
 from typing import Sequence
 
 import numpy as np
@@ -62,14 +62,14 @@ _SAMPLE_BUDGET = 2**25
 def det_int(rows: Sequence[Sequence[int]]) -> int:
     """Exact integer determinant of a square matrix.
 
-    Closed forms for 1x1, 2x2 and 3x3, which are every leaf determinant
-    and cofactor minor of a type with at most three weights and every minor
-    of one with four; Bareiss fraction-free elimination for larger
-    matrices; the empty matrix has the empty product, 1.  Raises
-    ``ValueError`` unless every row is as long as the matrix is tall.
+    Closed forms for 1x1 through 4x4, which are every leaf determinant and
+    cofactor minor of a type with at most four weights and every minor of
+    one with five; Bareiss fraction-free elimination from 5x5 on; the empty
+    matrix has the empty product, 1.  Raises ``ValueError`` unless every
+    row is as long as the matrix is tall.
     """
     n = len(rows)
-    if 1 <= n <= 3:
+    if 1 <= n <= 4:
         try:
             if n == 3:
                 (a, b, c), (d, e, f), (g, h, i) = rows
@@ -77,6 +77,19 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
             if n == 2:
                 (a, b), (c, d) = rows
                 return a * d - b * c
+            if n == 4:
+                # Laplace expansion along the first two rows: each signed 2x2
+                # minor of rows 0-1 times the minor of rows 2-3 on the other
+                # two columns
+                (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+                return (
+                    (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+                    - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+                    + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+                    + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+                    - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+                    + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+                )
             ((a,),) = rows
             return a
         except ValueError:
@@ -104,20 +117,32 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1] if m else 1
 
 
+@lru_cache(maxsize=None)
+def _drop_one(n: int) -> tuple[itemgetter, ...]:
+    """For each slot k < n, a getter of the other n - 1 slots of a tuple, as a tuple (n >= 2)."""
+    if n == 2:
+        # itemgetter with one index returns the bare item; a slice keeps the tuple
+        return itemgetter(slice(1, 2)), itemgetter(slice(0, 1))
+    return tuple(itemgetter(*(j for j in range(n) if j != k)) for k in range(n))
+
+
 def _cofactor_rows(gens: tuple[ScaledPoint, ...]) -> list[tuple[int, ...]]:
     """Inward facet normals of a simplicial cone on independent generators.
 
     Row i of the result pairs with generator i: ``u_i . g_j = |det| * delta_ij``,
     so the sign pattern of ``u_i . p`` over i gives the barycentric signs of p.
     Entry k of row i is the signed minor without generator i and coordinate k.
+    The minors are gathered once per cone by the getters of ``_drop_one``;
+    the cone still costs ``1 + n^2`` calls of ``det_int``.
     """
     sign = 1 if det_int(gens) > 0 else -1
-    # every generator with coordinate k cut out, sliced once per cone
-    cut = [[g[:k] + g[k + 1 :] for g in gens] for k in range(len(gens))]
+    drop = _drop_one(len(gens))
+    # every generator with coordinate k cut out
+    cut = [tuple(map(get, gens)) for get in drop]
+    signs = (sign, -sign)
     return [
-        tuple([(-sign if (i + k) % 2 else sign) * det_int(rows[:i] + rows[i + 1 :])
-               for k, rows in enumerate(cut)])
-        for i in range(len(gens))
+        tuple([signs[(i + k) & 1] * det_int(get(rows)) for k, rows in enumerate(cut)])
+        for i, get in enumerate(drop)
     ]
 
 
@@ -704,7 +729,7 @@ def _dot(u, v) -> int:
 def _null_direction(vs, n):
     """Integer spanning vector of the common kernel of n-1 row vectors (n >= 2)."""
     comps = tuple(
-        [(-1 if k % 2 else 1) * det_int([v[:k] + v[k + 1 :] for v in vs]) for k in range(n)]
+        [(-1 if k % 2 else 1) * det_int(tuple(map(get, vs))) for k, get in enumerate(_drop_one(n))]
     )
     return comps if any(comps) else None
 

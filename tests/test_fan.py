@@ -82,20 +82,44 @@ class TestDeterminant:
         assert det_int([[1, 2, 7], [0, 12, 0], [0, 0, 12]]) == 144
 
     def test_singular(self):
+        # closed forms
         assert det_int([[1, 2], [2, 4]]) == 0
         assert det_int([[0, 0], [1, 1]]) == 0
+        assert det_int([[0, 1, 2, 3], [0, 4, 5, 6], [0, 7, 8, 9], [0, 1, 1, 1]]) == 0
         # Bareiss finds no nonzero pivot in a column and stops at 0: the
         # first column here, the second after one elimination step below
-        assert det_int([[0, 1, 2, 3], [0, 4, 5, 6], [0, 7, 8, 9], [0, 1, 1, 1]]) == 0
+        rows = [[0, 1, 2, 3, 4], [0, 4, 5, 6, 7], [0, 7, 8, 9, 1], [0, 1, 1, 1, 2], [0, 3, 1, 4, 1]]
+        assert det_int(rows) == 0
         rows = [[1, 2, 3, 4, 5], [2, 4, 1, 0, 3], [3, 6, 2, 2, 1], [1, 2, 5, 3, 3], [4, 8, 1, 1, 2]]
         assert det_int(rows) == 0
 
     def test_needs_pivot_swap(self):
+        # closed forms, where no pivot is chosen
         assert det_int([[0, 1], [1, 0]]) == -1
         assert det_int([[0, 2, 1], [3, 0, 0], [0, 0, 4]]) == -24
+        # Bareiss swaps rows 0 and 1 for its first pivot: one transposition
+        # away from diag(3, 2, 5, 7, 11)
+        rows = [
+            [0, 2, 0, 0, 0],
+            [3, 0, 0, 0, 0],
+            [0, 0, 5, 0, 0],
+            [0, 0, 0, 7, 0],
+            [0, 0, 0, 0, 11],
+        ]
+        assert det_int(rows) == -2310
+        # here rows 0 and 2 for the first pivot, then rows 1 and 4 for the second
+        rows = [
+            [0, 0, 1, 2, 0, 1],
+            [0, 0, 3, 1, 1, 0],
+            [2, 1, 0, 0, 1, 1],
+            [4, 2, 1, 0, 0, 3],
+            [1, 0, 0, 1, 2, 0],
+            [0, 1, 1, 1, 1, 1],
+        ]
+        assert det_int(rows) == det_by_permutations(rows) == 6
 
     def test_against_permutation_expansion(self):
-        # closed forms for n <= 3, Bareiss above; both past int64
+        # closed forms for n <= 4, Bareiss from 5; both past int64
         rng = random.Random(0)
         for n in range(1, 6):
             for bound in (9, 10**30):
@@ -118,6 +142,9 @@ class TestDeterminant:
             [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]],
             [[1, 2, 3], [4, 5, 6], [7, 8, 9], [1, 2, 3]],
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1]],
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1, 0]],
+            [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1]],
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
         ):
             with pytest.raises(ValueError, match="square"):
                 det_int(rows)
@@ -973,20 +1000,54 @@ class TestFacetCertificate:
         assert fan_mod._check_faces(fan, normals) == enumerated
 
 
+def random_independent_rows(rng, count, n, bound):
+    """``count`` random rows of length n, resampled until they are independent."""
+    while True:
+        rows = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(count)]
+        # a nonzero maximal minor on some choice of columns
+        if any(det_int([[v[k] for k in cols] for v in rows])
+               for cols in combinations(range(n), count)):
+            return rows
+
+
 class TestExactHelpers:
     def test_cofactor_rows_are_scaled_inverse(self):
-        gens = ((12, 0, 0), (1, 2, 7), (0, 0, 12))
-        rows = fan_mod._cofactor_rows(gens)
-        absdet = abs(det_int(gens))
-        for i, u in enumerate(rows):
-            for j, g in enumerate(gens):
-                expected = absdet if i == j else 0
-                assert sum(a * b for a, b in zip(u, g)) == expected
+        # a 3D cone of 1/12(1,2,7), then random cones for n = 2..5 (whose
+        # minors are the 1x1 getters at n = 2 and the 4x4 closed form at
+        # n = 5), with entries small and past 2^63
+        rng = random.Random(25)
+        cones = [((12, 0, 0), (1, 2, 7), (0, 0, 12))]
+        for n in range(2, 6):
+            for bound in (9, 2**70):
+                cones += [tuple(random_independent_rows(rng, n, n, bound)) for _ in range(10)]
+        for gens in cones:
+            rows = fan_mod._cofactor_rows(gens)
+            absdet = abs(det_int(gens))
+            assert len(rows) == len(gens) and all(len(u) == len(gens) for u in rows)
+            for i, u in enumerate(rows):
+                for j, g in enumerate(gens):
+                    expected = absdet if i == j else 0
+                    assert sum(a * b for a, b in zip(u, g)) == expected
 
     def test_null_direction(self):
         d = fan_mod._null_direction([(1, 0, 0), (0, 1, 0)], 3)
         assert d is not None and d[0] == d[1] == 0 and d[2] != 0
         assert fan_mod._null_direction([(1, 1, 1), (2, 2, 2)], 3) is None
+        rng = random.Random(26)
+        for n in (2, 3, 4):
+            for bound in (9, 2**70):
+                for _ in range(10):
+                    vs = random_independent_rows(rng, n - 1, n, bound)
+                    d = fan_mod._null_direction(vs, n)
+                    assert d is not None and len(d) == n
+                    assert all(sum(a * b for a, b in zip(v, d)) == 0 for v in vs)
+                    # a row repeated, scaled, makes the rows dependent
+                    if n > 2:
+                        dependent = vs[:-1] + [tuple(3 * a for a in vs[0])]
+                        assert fan_mod._null_direction(dependent, n) is None
+        assert fan_mod._null_direction([(0, 0)], 2) is None
+        assert fan_mod._null_direction([(3, -5)], 2) == (-5, -3)
+        assert fan_mod._null_direction([(1, 2, 3, 4), (2, 4, 6, 8), (0, 1, 0, 1)], 4) is None
 
 
 class TestResolutionReport:
