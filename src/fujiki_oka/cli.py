@@ -123,7 +123,8 @@ def _output_files(paths: list[str]):
 
     Append mode empties nothing while the work runs, so on any exception the
     files created here are removed and the others keep their bytes.  Once
-    the work returns, each file is truncated and given its buffer's text.
+    the work returns, each file is truncated and given its buffer's text;
+    a pipe or FIFO cannot be truncated, so it is only written.
     Two paths naming one file would keep only the last text, so they raise
     ``ValueError`` before any file is opened.
     """
@@ -142,7 +143,8 @@ def _output_files(paths: list[str]):
         yield buffers
         for (fh, _), buf in zip(handles, buffers):
             with fh:
-                fh.truncate(0)
+                if fh.seekable():
+                    fh.truncate(0)
                 fh.write(buf.getvalue())
     except BaseException:
         for fh, created in handles:

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -206,6 +207,32 @@ class TestVerify:
         assert after_verify == "0 False"
 
 
+def _through_fifo(tmp_path, argv):
+    """Run ``main`` on ``argv`` plus a FIFO as the last path while a thread
+    reads the FIFO; returns the exit code and the bytes read."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    chunks = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            chunks.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    code = main([*argv, str(fifo)])
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    return code, b"".join(chunks)
+
+
+def _without_ms(csv_bytes):
+    return [line.rsplit(b",", 1)[0] for line in csv_bytes.splitlines()]
+
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+
+
 class TestSweep:
     def test_writes_csv(self, tmp_path, capsys):
         dest = tmp_path / "out.csv"
@@ -215,6 +242,17 @@ class TestSweep:
         assert "all identities hold" in out
         text = dest.read_text()
         assert text.startswith("r,weights,S,h,chi,")
+
+    @needs_fifo
+    def test_csv_to_a_fifo(self, tmp_path, capsys):
+        # a pipe cannot be truncated; it gets the same rows as a file
+        argv = ["sweep", "--dim", "2", "--r-max", "3", "--csv"]
+        code, piped = _through_fifo(tmp_path, argv)
+        assert code == 0
+        dest = tmp_path / "out.csv"
+        assert main([*argv, str(dest)]) == 0
+        assert _without_ms(piped) == _without_ms(dest.read_bytes())
+        assert len(_without_ms(piped)) == 9
 
     def test_unwritable_csv_is_input_error(self, tmp_path, capsys):
         dest = tmp_path / "missing_dir" / "x.csv"
@@ -410,6 +448,16 @@ class TestExport:
         svg = paths["svg"].read_text()
         assert svg.count("<polygon") == 8
         assert paths["dot"].read_text().startswith("digraph")
+
+    @needs_fifo
+    def test_json_to_a_fifo(self, tmp_path, capsys):
+        argv = ["export", "-r", "5", "-w", "1,2", "--json"]
+        code, piped = _through_fifo(tmp_path, argv)
+        assert code == 0
+        dest = tmp_path / "fan.json"
+        assert main([*argv, str(dest)]) == 0
+        assert piped == dest.read_bytes()
+        assert json.loads(piped)["group"]["r"] == 5
 
     def test_only_the_polynomial_is_expanded(self, tmp_path, monkeypatch, capsys):
         # the fan renderers read S and h from the fan itself, so an expand

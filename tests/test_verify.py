@@ -8,7 +8,7 @@ import sys
 import time
 import tracemalloc
 from collections import defaultdict
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -19,6 +19,7 @@ import fujiki_oka.verify as verify_mod
 from conftest import all_semi_unimodular
 from fujiki_oka import (
     GroupType,
+    ResolutionReport,
     build_resolution,
     check_identities,
     compare_2d,
@@ -378,6 +379,42 @@ class TestOrbits:
             group = GroupType.from_weights(rec.r, rec.weights)
             full = fan_mod.resolution_report(group, validate=False)[0]
             assert _strip_ms(rec) == _strip_ms(full)
+
+    @pytest.mark.parametrize("dim, r_max", _ORBIT_RANGES)
+    def test_copies_carry_every_field_of_the_first_record(self, dim, r_max):
+        records = sweep(dim=dim, r_max=r_max)
+        members = list(_orbit_members(dim, r_max))
+        assert len(records) == len(members)
+        firsts = {}
+        for rec, (r, weights, first) in zip(records, members):
+            assert (rec.r, rec.weights) == (r, weights)
+            if weights == first:
+                firsts[r, first] = rec
+            expected = replace(firsts[r, first], weights=weights, ms=rec.ms)
+            for field in fields(ResolutionReport):
+                assert getattr(rec, field.name) == getattr(expected, field.name), field.name
+
+    def test_copies_are_frozen_reports(self):
+        records = sweep(dim=3, r_max=7)
+        assert any(rec.weights != tuple(sorted(rec.weights)) for rec in records)
+        for rec in records:
+            assert type(rec) is ResolutionReport
+            with pytest.raises(FrozenInstanceError):
+                rec.weights = (1, 1, 1)
+
+    @pytest.mark.parametrize("dim, r_max", _ORBIT_RANGES)
+    def test_sweep_types_equal_checked_ones(self, dim, r_max, monkeypatch):
+        groups = []
+        real = verify_mod.measure_type
+        monkeypatch.setattr(verify_mod, "measure_type", lambda g: groups.append(g) or real(g))
+        sweep(dim=dim, r_max=r_max)
+        assert [(g.r, g.weights) for g in groups] == [
+            (r, weights) for r, weights, _ in _orbit_members(dim, r_max)
+        ]
+        for g in groups:
+            assert g == GroupType.from_weights(g.r, g.weights)
+            assert type(g.r) is int
+            assert all(type(w) is int for w in g.weights)
 
     @pytest.mark.parametrize("dim, r_max", _ORBIT_RANGES)
     def test_leaves_are_the_first_members_permuted(self, dim, r_max):
