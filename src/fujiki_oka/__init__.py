@@ -22,7 +22,7 @@ from .fan import (
     star_subdivide,
     validate_fan,
 )
-from .polynomial import RemainderPolynomial, Term, expand
+from .polynomial import RemainderPolynomial, expand
 from .propfrac import ProperFraction
 from .render import (
     fan_json_text,
@@ -57,7 +57,6 @@ __all__ = [
     "RayInfo",
     "RemainderPolynomial",
     "ResolutionReport",
-    "Term",
     "build_resolution",
     "check_identities",
     "compare_2d",

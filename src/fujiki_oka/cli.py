@@ -124,7 +124,11 @@ def _output_files(paths: list[str]):
     Append mode empties nothing while the work runs, so on any exception the
     files created here are removed and the others keep their bytes.  Once
     the work returns, each file is truncated and given its buffer's text;
-    a pipe or FIFO cannot be truncated, so it is only written.
+    a pipe or FIFO cannot be truncated, so it is only written.  A regular
+    file that standard output already has open (``--csv /dev/stdout >
+    file``) gets its text through ``sys.stdout`` instead: a second
+    descriptor would write at its own offset, and the lines printed after
+    the work would overwrite the text's start.
     Two paths naming one file would keep only the last text, so they raise
     ``ValueError`` before any file is opened.
     """
@@ -143,6 +147,9 @@ def _output_files(paths: list[str]):
         yield buffers
         for (fh, _), buf in zip(handles, buffers):
             with fh:
+                if fh.seekable() and _is_stdout(fh):
+                    sys.stdout.write(buf.getvalue())
+                    continue
                 if fh.seekable():
                     fh.truncate(0)
                 fh.write(buf.getvalue())
@@ -152,6 +159,15 @@ def _output_files(paths: list[str]):
             if created:
                 os.remove(fh.name)
         raise
+
+
+def _is_stdout(fh) -> bool:
+    """True when ``fh`` is open on the file behind ``sys.stdout``."""
+    try:
+        return os.path.samestat(os.fstat(fh.fileno()), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):
+        # a stdout without a descriptor, such as a StringIO, is no file
+        return False
 
 
 def _group(args: argparse.Namespace) -> GroupType:

@@ -817,7 +817,7 @@ def resolution_report(
         _check_sampling(group.n, samples, seed)
     fan = build_resolution(group)
     if validate:
-        coefficients = [t.coefficient for t in expand(group.fraction).terms]
+        coefficients = expand(group.fraction).coefficients
         validation = validate_fan(fan, samples=samples, seed=seed)
         smooth = validation.multiplicity_ok
     else:

@@ -16,54 +16,57 @@ from .propfrac import ProperFraction
 
 
 @dataclass(frozen=True)
-class Term:
-    word: tuple[int, ...]
-    coefficient: ProperFraction
-
-    def __str__(self) -> str:
-        if not self.word:
-            return str(self.coefficient)
-        return "%s * %s" % (self.coefficient, " ".join(f"x{i}" for i in self.word))
-
-
-@dataclass(frozen=True)
 class RemainderPolynomial:
-    """All terms of an expansion, in canonical (word length, lex) order."""
+    """An expansion's coefficients in canonical (word length, lex) order."""
 
-    terms: tuple[Term, ...]
+    coefficients: tuple[ProperFraction, ...]
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coefficients)
+
+    def words(self) -> tuple[tuple[int, ...], ...]:
+        """Each coefficient's word, in ``coefficients`` order.
+
+        One breadth-first walk, as ``expand`` made it: a coefficient's
+        children are its slots whose numerator is at least 2, since a pivot
+        of 0 maps to infinity and one of 1 to the zero fraction over 1.
+        """
+        words = [()]
+        # the zip also reads the words appended while it runs
+        for word, coef in zip(words, self.coefficients):
+            words.extend(word + (i,) for i, a in enumerate(coef.numerators, 1) if a >= 2)
+        return tuple(words)
 
     def total_height(self) -> int:
         """Sum of the heights of all coefficients."""
-        return sum(t.coefficient.height() for t in self.terms)
+        return sum(c.height() for c in self.coefficients)
 
     def size(self) -> int:
         """Total count of numerator entries equal to 1 across all terms."""
-        return sum(t.coefficient.ones() for t in self.terms)
+        return sum(c.ones() for c in self.coefficients)
 
     def pretty(self) -> str:
-        """One term per line, ``coef * x_{i1} x_{i2} ...``."""
-        return "\n".join(str(t) for t in self.terms)
+        """One term per line, ``coef * x_{i1} x_{i2} ...``.  ``ValueError``
+        when the coefficients and ``words()`` differ in count."""
+        return "\n".join(
+            "%s * %s" % (coef, " ".join(f"x{i}" for i in word)) if word else str(coef)
+            for word, coef in zip(self.words(), self.coefficients, strict=True)
+        )
 
     def to_json(self) -> list[dict]:
-        """JSON-ready list of ``{word, numerators, denominator}`` objects."""
+        """JSON-ready list of ``{word, numerators, denominator}`` objects;
+        ``ValueError`` as for ``pretty``."""
         return [
-            {
-                "word": list(t.word),
-                "numerators": list(t.coefficient.numerators),
-                "denominator": t.coefficient.denominator,
-            }
-            for t in self.terms
+            {"word": list(w), "numerators": list(c.numerators), "denominator": c.denominator}
+            for w, c in zip(self.words(), self.coefficients, strict=True)
         ]
 
 
 def expand(root: ProperFraction) -> RemainderPolynomial:
     """Expand ``root`` into its remainder polynomial.
 
-    Terms are generated breadth-first: each term's children are appended in
-    index order 1..n, so the list comes out in canonical (length, lex)
+    Coefficients are generated breadth-first: each one's images are appended
+    in index order 1..n, so the list comes out in canonical (length, lex)
     order.  Images equal to infinity (``None``) or to the zero fraction over
     1 are dropped.  Raises ``ValueError`` if the root is not
     semi-unimodular.  Every kept image is semi-unimodular again: the entry
@@ -71,13 +74,10 @@ def expand(root: ProperFraction) -> RemainderPolynomial:
     """
     if not root.is_semi_unimodular():
         raise ValueError(f"expansion requires a semi-unimodular root, got {root}")
-    terms: list[Term] = [Term((), root)]
-    for term in terms:
-        coef = term.coefficient
-        word = term.word
+    coefficients = [root]
+    for coef in coefficients:
         for i in range(1, len(coef.numerators) + 1):
             image = coef.remainder(i)
-            if image is None or image.denominator == 1:
-                continue
-            terms.append(Term(word + (i,), image))
-    return RemainderPolynomial(tuple(terms))
+            if image is not None and image.denominator != 1:
+                coefficients.append(image)
+    return RemainderPolynomial(tuple(coefficients))

@@ -69,7 +69,7 @@ def sweep_records():
 def test_criterion_01_golden_expansion():
     expand(GOLDEN)  # warm-up
     poly = expand(GOLDEN)
-    got = {t.word: (t.coefficient.numerators, t.coefficient.denominator) for t in poly.terms}
+    got = {w: (c.numerators, c.denominator) for w, c in zip(poly.words(), poly.coefficients)}
     exact = got == GOLDEN_TERMS and len(poly) == 5
     elapsed = _best_of(lambda: expand(GOLDEN))
     _report(
@@ -109,7 +109,10 @@ def test_criterion_03_published_statistics():
     poly = expand(v)
     totals = poly.size() == 12 and poly.total_height() == 0 and poly.size() == poly.total_height() + 12
     both_match_oracle = all(
-        {t.word: (t.coefficient.numerators, t.coefficient.denominator) for t in expand(u).terms}
+        {
+            w: (c.numerators, c.denominator)
+            for w, c in zip(expand(u).words(), expand(u).coefficients)
+        }
         == oracle_expand(u.numerators, u.denominator)
         for u in (v, GOLDEN)
     )

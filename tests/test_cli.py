@@ -233,6 +233,29 @@ def _without_ms(csv_bytes):
 needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
 
 
+def _to_redirected_stdout(tmp_path, argv):
+    """Run the CLI in a fresh interpreter with its stdout redirected to a
+    file, as ``... /dev/stdout > file`` does; returns the exit code and the
+    file's bytes."""
+    src = os.path.dirname(os.path.dirname(fujiki_oka.__file__))
+    out = tmp_path / "stdout.txt"
+    with open(out, "wb") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fujiki_oka.cli", *argv, "/dev/stdout"],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=fh,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    assert not proc.stderr, proc.stderr
+    return proc.returncode, out.read_bytes()
+
+
+needs_dev_stdout = pytest.mark.skipif(
+    not os.path.exists("/dev/stdout"), reason="no /dev/stdout here"
+)
+
+
 class TestSweep:
     def test_writes_csv(self, tmp_path, capsys):
         dest = tmp_path / "out.csv"
@@ -253,6 +276,22 @@ class TestSweep:
         assert main([*argv, str(dest)]) == 0
         assert _without_ms(piped) == _without_ms(dest.read_bytes())
         assert len(_without_ms(piped)) == 9
+
+    @needs_dev_stdout
+    def test_csv_to_stdout_redirected_to_a_file(self, tmp_path, capsys):
+        # /dev/stdout opens the redirect's file a second time; the summary
+        # printed after the CSV must follow it, not overwrite its start
+        argv = ["sweep", "--dim", "2", "--r-max", "3", "--csv"]
+        code, got = _to_redirected_stdout(tmp_path, argv)
+        assert code == 0
+        dest = tmp_path / "out.csv"
+        assert main([*argv, str(dest)]) == 0
+        summary = capsys.readouterr().out.encode().splitlines()
+        assert got.startswith(b"r,weights,S,h,chi,")
+        rows = _without_ms(dest.read_bytes())
+        lines = got.splitlines()
+        assert _without_ms(b"\n".join(lines[: len(rows)])) == rows
+        assert lines[len(rows) :] == [b"wrote 8 records to /dev/stdout", *summary[1:]]
 
     def test_unwritable_csv_is_input_error(self, tmp_path, capsys):
         dest = tmp_path / "missing_dir" / "x.csv"
@@ -458,6 +497,15 @@ class TestExport:
         assert main([*argv, str(dest)]) == 0
         assert piped == dest.read_bytes()
         assert json.loads(piped)["group"]["r"] == 5
+
+    @needs_dev_stdout
+    def test_polynomial_to_stdout_redirected_to_a_file(self, tmp_path, capsys):
+        argv = ["export", "-r", "12", "-w", "1,2,7", "--poly"]
+        code, got = _to_redirected_stdout(tmp_path, argv)
+        assert code == 0
+        dest = tmp_path / "poly.json"
+        assert main([*argv, str(dest)]) == 0
+        assert got == dest.read_bytes() + b"wrote /dev/stdout\n"
 
     def test_only_the_polynomial_is_expanded(self, tmp_path, monkeypatch, capsys):
         # the fan renderers read S and h from the fan itself, so an expand

@@ -13,7 +13,6 @@ PUBLIC = [
     "RayInfo",
     "RemainderPolynomial",
     "ResolutionReport",
-    "Term",
     "build_resolution",
     "check_identities",
     "compare_2d",

@@ -1,5 +1,7 @@
 """Unit tests for remainder polynomial expansion."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
@@ -14,11 +16,11 @@ from fujiki_oka import ProperFraction, RemainderPolynomial, expand
 
 
 def words_and_coefficients(poly: RemainderPolynomial):
-    return {t.word: (t.coefficient.numerators, t.coefficient.denominator) for t in poly.terms}
+    return {w: (c.numerators, c.denominator) for w, c in zip(poly.words(), poly.coefficients)}
 
 
 def in_canonical_order(poly: RemainderPolynomial) -> bool:
-    keys = [(len(t.word), t.word) for t in poly.terms]
+    keys = [(len(w), w) for w in poly.words()]
     return keys == sorted(keys)
 
 
@@ -81,6 +83,36 @@ class TestStructure:
         data = poly.to_json()
         assert data[0] == {"word": [], "numerators": [1, 2], "denominator": 5}
         assert all(set(entry) == {"word", "numerators", "denominator"} for entry in data)
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [
+            # the root alone, though (1,2,7)/12 has two children
+            (ProperFraction((1, 2, 7), 12),),
+            # a second coefficient under a root that has no children
+            (ProperFraction((1, 1), 2), ProperFraction((1, 1), 2)),
+        ],
+    )
+    def test_output_refuses_coefficients_that_are_not_an_expansion(self, coefficients):
+        poly = RemainderPolynomial(coefficients)
+        with pytest.raises(ValueError):
+            poly.pretty()
+        with pytest.raises(ValueError):
+            poly.to_json()
+
+    def test_expand_memory_is_linear_in_depth(self):
+        # 1/3001(1,2,2998) has 2,000 terms down to depth 1,000; a word
+        # stored on every term would copy its parent's, 1.0 M entries in all
+        v = ProperFraction((1, 2, 2998), 3001)
+        tracemalloc.start()
+        try:
+            poly = expand(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(poly) == 2000
+        assert max(map(len, poly.words())) == 1000
+        assert peak < 2**20
 
 
 class TestAgainstOracle:

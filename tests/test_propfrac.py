@@ -144,8 +144,7 @@ class TestRemainder:
         # remainder builds images without __post_init__, so each one, and
         # each image of an image, must be what the checked constructor
         # makes of the same values, with plain int entries
-        for term in expand(v).terms:
-            coef = term.coefficient
+        for coef in expand(v).coefficients:
             for i in range(1, coef.n + 1):
                 image = coef.remainder(i)
                 if image is None:
