@@ -4,9 +4,10 @@ been understood for a century via negative-regular continued fractions.
 
 r/a = c1 - 1/(c2 - 1/(...)) with all c_i >= 2 gives the chain of
 exceptional curves; curve j has self-intersection -c_j.  The subdivision
-construction must reproduce exactly that chain, and every exceptional ray
-must lie on the boundary of the convex hull of the nonzero lattice points
-of the quadrant.
+construction must reproduce exactly that chain: its exceptional rays must
+be distinct lattice points on the boundary of the convex hull of the
+nonzero lattice points of the quadrant, as many as the chain has curves,
+so they are exactly the lattice points on the hull's compact edges.
 """
 
 import math

@@ -26,7 +26,6 @@ from .polynomial import RemainderPolynomial, expand
 from .propfrac import ProperFraction
 from .render import (
     fan_json_text,
-    fan_to_json,
     fan_to_svg,
     polynomial_json_text,
     subdivision_tree_dot,
@@ -65,7 +64,6 @@ __all__ = [
     "expand",
     "family_type",
     "fan_json_text",
-    "fan_to_json",
     "fan_to_svg",
     "hj_evaluate",
     "hj_expansion",

@@ -9,7 +9,8 @@ Verbs:
 * ``family``   resolve members of the two classical families
 * ``export``   write JSON / SVG / DOT artifacts for a type
 
-Exit codes: 0 success, 1 a check failed, 2 bad input.
+Exit codes: 0 success, 1 a check failed, 2 bad input, 141 (128 + SIGPIPE)
+a reader that closed the output early.
 """
 
 from __future__ import annotations
@@ -124,11 +125,12 @@ def _output_files(paths: list[str]):
     Append mode empties nothing while the work runs, so on any exception the
     files created here are removed and the others keep their bytes.  Once
     the work returns, each file is truncated and given its buffer's text;
-    a pipe or FIFO cannot be truncated, so it is only written.  A regular
-    file that standard output already has open (``--csv /dev/stdout >
-    file``) gets its text through ``sys.stdout`` instead: a second
-    descriptor would write at its own offset, and the lines printed after
-    the work would overwrite the text's start.
+    a pipe or FIFO cannot be truncated, so it is only written.  The file or
+    pipe that standard output already has open (``--csv /dev/stdout >
+    file`` or ``| head``) gets its text through ``sys.stdout`` instead: a
+    second descriptor would write at its own offset, so the lines printed
+    after the work would overwrite the text's start, and a closed reader
+    would fail outside ``sys.stdout``.
     Two paths naming one file would keep only the last text, so they raise
     ``ValueError`` before any file is opened.
     """
@@ -147,7 +149,7 @@ def _output_files(paths: list[str]):
         yield buffers
         for (fh, _), buf in zip(handles, buffers):
             with fh:
-                if fh.seekable() and _is_stdout(fh):
+                if _is_stdout(fh):
                     sys.stdout.write(buf.getvalue())
                     continue
                 if fh.seekable():
@@ -314,7 +316,25 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        # the last buffered bytes are written here, so a reader that closed
+        # before them is caught below too
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # a closed reader is no bad input: end quietly with the status a
+        # shell gives a tool that SIGPIPE stopped
+        try:
+            # the pipe that broke may be another destination's, and then
+            # standard output still takes its bytes
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # descriptor 1 goes to devnull, so interpreter exit flushes the
+            # unwritten bytes there and prints no error
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 141
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -53,14 +53,6 @@ class RemainderPolynomial:
             for word, coef in zip(self.words(), self.coefficients, strict=True)
         )
 
-    def to_json(self) -> list[dict]:
-        """JSON-ready list of ``{word, numerators, denominator}`` objects;
-        ``ValueError`` as for ``pretty``."""
-        return [
-            {"word": list(w), "numerators": list(c.numerators), "denominator": c.denominator}
-            for w, c in zip(self.words(), self.coefficients, strict=True)
-        ]
-
 
 def expand(root: ProperFraction) -> RemainderPolynomial:
     """Expand ``root`` into its remainder polynomial.

@@ -1,9 +1,10 @@
-"""Serialization of fans: JSON, SVG cross-sections, DOT subdivision trees.
+"""Every artifact format: fan JSON, SVG cross-sections, DOT subdivision
+trees and the remainder polynomial's JSON.
 
-Every fan renderer is a pure function of the fan alone, and the polynomial
-JSON of the polynomial alone, with fixed key order and fixed numeric
-formatting, so identical inputs produce byte-identical output.  Exact
-rationals are emitted as strings ("-1/6", "0", "1") rather than floats.
+Each renderer is a pure function of one fan or one polynomial, with fixed
+key order and fixed numeric formatting, so identical inputs produce
+byte-identical output.  Exact rationals are emitted as strings ("-1/6",
+"0", "1") rather than floats.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from .fan import Fan, GroupType, cone_multiplicity
 from .polynomial import RemainderPolynomial
 
 
-def fan_to_json(fan: Fan) -> dict:
-    """JSON-ready summary of a fan and its arithmetic cross-checks.
+def fan_json_text(fan: Fan) -> str:
+    """JSON summary of a fan and its arithmetic cross-checks.
 
     Cones reference rays by index into the ``rays`` array, each cone's word
     is the leaf word in the same position (``ValueError`` when the counts
@@ -26,11 +27,12 @@ def fan_to_json(fan: Fan) -> dict:
     index = {ray.scaled: i for i, ray in enumerate(fan.rays)}
     types = fan.interior_types
     leaf_words = [w for c, w in zip(fan.nodes, fan.words()) if c.is_smooth_type()]
-    return {
-        "group": {"r": fan.group.r, "weights": list(fan.group.weights)},
+    # json writes a tuple as an array, so the fan's tuples go in unconverted
+    data = {
+        "group": {"r": fan.group.r, "weights": fan.group.weights},
         "rays": [
             {
-                "scaled": list(ray.scaled),
+                "scaled": ray.scaled,
                 "exceptional": ray.exceptional,
                 "age": str(ray.age),
                 "discrepancy": str(ray.discrepancy),
@@ -40,7 +42,7 @@ def fan_to_json(fan: Fan) -> dict:
         "max_cones": [
             {
                 "ray_indices": [index[g] for g in cone.generators],
-                "word": list(word),
+                "word": word,
                 "multiplicity": cone_multiplicity(cone, fan.group),
             }
             for cone, word in zip(fan.max_cones, leaf_words, strict=True)
@@ -50,35 +52,33 @@ def fan_to_json(fan: Fan) -> dict:
         "size": sum(t.ones() for t in types),
         "crepant": fan.is_crepant(),
     }
-
-
-def fan_json_text(fan: Fan) -> str:
-    return json.dumps(fan_to_json(fan), indent=2) + "\n"
+    return json.dumps(data, indent=2) + "\n"
 
 
 def polynomial_json_text(poly: RemainderPolynomial) -> str:
-    return json.dumps(poly.to_json(), indent=2) + "\n"
+    """JSON list of ``{word, numerators, denominator}`` objects, one per
+    coefficient in canonical order; ``ValueError`` when the coefficients
+    and ``poly.words()`` differ in count."""
+    terms = [
+        {"word": word, "numerators": coef.numerators, "denominator": coef.denominator}
+        for word, coef in zip(poly.words(), poly.coefficients, strict=True)
+    ]
+    return json.dumps(terms, indent=2) + "\n"
 
 
 # triangle cross-section layout for three-dimensional fans
 _SVG_SIZE = 420.0
 _SVG_PAD = 30.0
-
-
-def _corner(k: int) -> tuple[float, float]:
-    side = _SVG_SIZE - 2 * _SVG_PAD
-    height = side * math.sqrt(3) / 2
-    top = (_SVG_PAD + side / 2, _SVG_PAD)
-    left = (_SVG_PAD, _SVG_PAD + height)
-    right = (_SVG_PAD + side, _SVG_PAD + height)
-    return (top, left, right)[k]
+_SIDE = _SVG_SIZE - 2 * _SVG_PAD
+_BASE_Y = _SVG_PAD + _SIDE * math.sqrt(3) / 2
+# the top, bottom-left and bottom-right corners, one per weight
+_CORNERS = ((_SVG_PAD + _SIDE / 2, _SVG_PAD), (_SVG_PAD, _BASE_Y), (_SVG_PAD + _SIDE, _BASE_Y))
 
 
 def _project(point: tuple[int, ...]) -> tuple[float, float]:
     total = sum(point)
     x = y = 0.0
-    for k, v in enumerate(point):
-        cx, cy = _corner(k)
+    for v, (cx, cy) in zip(point, _CORNERS):
         x += v * cx / total
         y += v * cy / total
     return x, y

@@ -140,11 +140,13 @@ def compare_2d(fan: Fan) -> Comparison2D:
 
     Checks that the number of exceptional rays equals the expansion length,
     that the Euler characteristic exceeds it by one, that the exceptional
-    rays are distinct and sit on the lower convex hull of the nonzero
-    lattice points of the quadrant, and that the expansion folds back to
-    r/a.  The fan may come from either weight order, 1/r(1, a) or
-    1/r(a, 1); rays are compared in unit-first coordinates.  The r + 1 hull
-    candidates are streamed, so the time is O(r) and only the hull's
+    rays are distinct lattice points (``group.contains``, in the fan's own
+    coordinates) on the lower convex hull of the nonzero lattice points of
+    the quadrant, and that the expansion folds back to r/a.  With the count
+    matching, they are then exactly the lattice points on the hull's compact
+    edges.  The fan may come from either weight order, 1/r(1, a) or
+    1/r(a, 1); rays meet the hull in unit-first coordinates.  The r + 1
+    hull candidates are streamed, so the time is O(r) and only the hull's
     vertices are kept.  Raises ``ValueError`` unless the fan is
     two-dimensional with 0 < a < r and gcd(r, a) = 1.
     """
@@ -156,11 +158,8 @@ def compare_2d(fan: Fan) -> Comparison2D:
     unit_first = first == 1
     a = second if unit_first else first
     expansion = hj_expansion(r, a)
-    rays = tuple(
-        ray.scaled if unit_first else ray.scaled[::-1]
-        for ray in fan.rays
-        if ray.exceptional
-    )
+    exceptional = [ray.scaled for ray in fan.rays if ray.exceptional]
+    rays = tuple(p if unit_first else p[::-1] for p in exceptional)
 
     candidates = chain([(0, r)], ((x, (a * x) % r) for x in range(1, r)), [(r, 0)])
     hull = _lower_hull(candidates)
@@ -172,7 +171,11 @@ def compare_2d(fan: Fan) -> Comparison2D:
         exceptional_rays=rays,
         count_matches=len(rays) == len(expansion),
         euler_matches=fan.euler == len(expansion) + 1,
-        rays_on_hull=len(set(rays)) == len(rays) and all(_on_polyline(p, hull) for p in rays),
+        rays_on_hull=(
+            len(set(rays)) == len(rays)
+            and all(map(group.contains, exceptional))
+            and all(_on_polyline(p, hull) for p in rays)
+        ),
         round_trip=hj_evaluate(expansion) == Fraction(r, a),
     )
 

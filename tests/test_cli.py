@@ -685,3 +685,81 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "(1,2,7)/12"
+
+
+def _to_closed_reader(argv, lines, unbuffered=""):
+    """Run the CLI in a fresh interpreter whose stdout is a pipe; the
+    reader takes ``lines`` lines and closes (at 0, before the CLI starts).
+    ``unbuffered`` is the child's PYTHONUNBUFFERED, empty for a buffered
+    stdout.  Returns the exit code and stderr."""
+    src = os.path.dirname(os.path.dirname(fujiki_oka.__file__))
+    read_fd, write_fd = os.pipe()
+    with os.fdopen(read_fd, "rb") as reader:
+        if not lines:
+            reader.close()
+        with subprocess.Popen(
+            [sys.executable, "-m", "fujiki_oka.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered},
+            stdout=write_fd,
+            stderr=subprocess.PIPE,
+        ) as proc:
+            os.close(write_fd)
+            for _ in range(lines):
+                reader.readline()
+            reader.close()
+            _, err = proc.communicate(timeout=120)
+    return proc.returncode, err
+
+
+class TestClosedReader:
+    # 141 is 128 + SIGPIPE, the status a shell reports for a tool that
+    # SIGPIPE stopped; nothing on stderr, as a closed reader is no error
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "-r", "4001", "-w", "1,2,3998"],
+            ["sweep", "--dim", "3", "--r-max", "20", "--csv", "/dev/stdout"],
+        ],
+        ids=["expand", "sweep-csv"],
+    )
+    def test_reader_closing_after_one_line(self, argv):
+        # both write far more than a 64 KiB pipe buffer, so a write after
+        # the close fails on every run
+        if "/dev/stdout" in argv and not os.path.exists("/dev/stdout"):
+            pytest.skip("no /dev/stdout here")
+        assert _to_closed_reader(argv, lines=1) == (141, b"")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_reader_closed_before_any_write(self, unbuffered):
+        # buffered, the one write is main's final flush; unbuffered, the
+        # first print
+        argv = ["resolve", "-r", "12", "-w", "1,2,7"]
+        assert _to_closed_reader(argv, lines=0, unbuffered=unbuffered) == (141, b"")
+
+    @needs_fifo
+    def test_other_closed_reader_leaves_stdout_working(self, tmp_path):
+        # the broken pipe is a FIFO destination's, not standard output's,
+        # so a caller's later prints still reach its stdout
+        src = os.path.dirname(os.path.dirname(fujiki_oka.__file__))
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        code = (
+            "import sys, threading\n"
+            "from fujiki_oka.cli import main\n"
+            "def read():\n"
+            f"    with open({str(fifo)!r}, 'rb') as fh:\n"
+            "        fh.read(1)\n"
+            "reader = threading.Thread(target=read)\n"
+            "reader.start()\n"
+            f"status = main(['sweep', '--dim', '3', '--r-max', '20', '--csv', {str(fifo)!r}])\n"
+            "reader.join()\n"
+            "print('after', status)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"after 141\n", b"")

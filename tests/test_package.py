@@ -21,7 +21,6 @@ PUBLIC = [
     "expand",
     "family_type",
     "fan_json_text",
-    "fan_to_json",
     "fan_to_svg",
     "hj_evaluate",
     "hj_expansion",

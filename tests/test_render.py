@@ -11,7 +11,6 @@ from fujiki_oka import (
     build_resolution,
     expand,
     fan_json_text,
-    fan_to_json,
     fan_to_svg,
     polynomial_json_text,
     subdivision_tree_dot,
@@ -27,7 +26,7 @@ def golden_fan():
 
 class TestJson:
     def test_top_level_key_order(self):
-        data = fan_to_json(golden_fan())
+        data = json.loads(fan_json_text(golden_fan()))
         assert list(data) == [
             "group",
             "rays",
@@ -41,7 +40,7 @@ class TestJson:
         assert list(data["max_cones"][0]) == ["ray_indices", "word", "multiplicity"]
 
     def test_golden_content(self):
-        data = fan_to_json(golden_fan())
+        data = json.loads(fan_json_text(golden_fan()))
         assert data["group"] == {"r": 12, "weights": [1, 2, 7]}
         assert data["euler"] == 8
         assert data["height_total"] == -4
@@ -59,7 +58,7 @@ class TestJson:
 
     def test_indices_reference_rays(self):
         fan = golden_fan()
-        data = fan_to_json(fan)
+        data = json.loads(fan_json_text(fan))
         for cone, entry in zip(fan.max_cones, data["max_cones"]):
             resolved = [tuple(data["rays"][i]["scaled"]) for i in entry["ray_indices"]]
             assert resolved == list(cone.generators)
@@ -70,7 +69,7 @@ class TestJson:
         fan = build_resolution(GroupType.from_weights(5, (1, 2)))
         first = fan.max_cones[0]
         axes = replace(first, generators=((5, 0), (0, 5)))
-        data = fan_to_json(replace(fan, max_cones=(axes,) + fan.max_cones[1:]))
+        data = json.loads(fan_json_text(replace(fan, max_cones=(axes,) + fan.max_cones[1:])))
         assert first.local_type.denominator == 1
         assert data["max_cones"][0]["ray_indices"] == [0, 1]
         assert data["max_cones"][0]["multiplicity"] == 5
@@ -81,14 +80,14 @@ class TestJson:
         # dropped cannot print its words shifted onto the wrong cones
         fan = golden_fan()
         with pytest.raises(ValueError, match="zip"):
-            fan_to_json(replace(fan, max_cones=fan.max_cones[1:]))
+            json.loads(fan_json_text(replace(fan, max_cones=fan.max_cones[1:])))
 
     def test_size_and_height_are_the_expansion(self):
         # the fan's interior local types are the polynomial's coefficients
         for dim, r_max in ((2, 20), (3, 8), (4, 4)):
             for r in range(2, r_max + 1):
                 for frac in all_semi_unimodular(dim, r):
-                    data = fan_to_json(build_resolution(GroupType(frac)))
+                    data = json.loads(fan_json_text(build_resolution(GroupType(frac))))
                     poly = expand(frac)
                     assert data["size"] == poly.size(), frac
                     assert data["height_total"] == poly.total_height(), frac

@@ -122,6 +122,27 @@ class TestCompare2D:
         assert not cmp2.ok
 
     @pytest.mark.parametrize(
+        "r, weights, ray, stand_in",
+        [
+            (8, (1, 3), (1, 3), (2, 2)),
+            (8, (3, 1), (3, 1), (2, 2)),
+            (12, (1, 5), (1, 5), (2, 4)),
+        ],
+        ids=["8-1,3", "8-3,1", "12-1,5"],
+    )
+    def test_detects_ray_off_the_lattice(self, r, weights, ray, stand_in):
+        # the stand-in is an integer point on a hull edge, but no lattice
+        # point of the group, so it is no ray of a resolution
+        fan = build_resolution(GroupType.from_weights(r, weights))
+        moved = tuple(
+            replace(info, scaled=stand_in) if info.scaled == ray else info for info in fan.rays
+        )
+        cmp2 = compare_2d(replace(fan, rays=moved))
+        assert cmp2.count_matches and cmp2.euler_matches and cmp2.round_trip
+        assert not cmp2.rays_on_hull
+        assert not cmp2.ok
+
+    @pytest.mark.parametrize(
         "r, weights", [(5, (1, 2)), (12, (1, 7)), (12, (7, 1))], ids=["5-1,2", "12-1,7", "12-7,1"]
     )
     def test_detects_repeated_ray(self, r, weights):
