@@ -30,6 +30,7 @@ Python ints.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -421,12 +422,18 @@ class FanValidation:
     ``faces_certified`` says which path settled the face check: True when
     the linear-time facet certificate held, False when the pairwise check
     ran.  ``coverage_ok`` needs the certificate as well as clean samples.
+    ``rays_ok`` needs the listed rays to be primitive lattice points
+    (``bad_rays`` names those that are not) and to be, each once, exactly
+    the maximal cones' generators: ``unmatched_rays`` names, sorted, the
+    listed points in no maximal cone, the generators missing from
+    ``fan.rays`` and the points listed more than once.
     """
 
     multiplicity_ok: bool
     bad_multiplicities: tuple[int, ...]
     rays_ok: bool
     bad_rays: tuple[ScaledPoint, ...]
+    unmatched_rays: tuple[ScaledPoint, ...]
     coverage_ok: bool
     uncovered: int
     overlapping: int
@@ -446,7 +453,8 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
     """Check a fan the hard way, independent of how it was built.
 
     1. every maximal cone has multiplicity 1 (exact determinants);
-    2. every ray is a primitive lattice point;
+    2. every ray is a primitive lattice point, and ``fan.rays`` lists each
+       generator of the maximal cones once and nothing else;
     3. ``samples`` pseudo-random integer points in ``[1, 10**6]^n``, strictly
        inside the positive orthant, each land in exactly one cone, or on a
        face shared by the cones containing it;
@@ -487,6 +495,15 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
             ok = False
         if not ok:
             bad_rays.append(ray.scaled)
+    # the cones' generators and the listed rays must be one set, each ray
+    # listed once; checked with sets alone, so no lattice helper is called
+    listed = {ray.scaled for ray in fan.rays}
+    unmatched = listed.symmetric_difference(
+        chain.from_iterable([cone.generators for cone in fan.max_cones])
+    )
+    if len(listed) < len(fan.rays):
+        counts = Counter(ray.scaled for ray in fan.rays)
+        unmatched.update(p for p, k in counts.items() if k > 1)
 
     normals = [_cofactor_rows(c.generators) for c in fan.max_cones]
 
@@ -497,8 +514,9 @@ def validate_fan(fan: Fan, samples: int = 1000, seed: int = DEFAULT_SEED) -> Fan
     return FanValidation(
         multiplicity_ok=not bad_mults,
         bad_multiplicities=bad_mults,
-        rays_ok=not bad_rays,
+        rays_ok=not bad_rays and not unmatched,
         bad_rays=tuple(bad_rays),
+        unmatched_rays=tuple(sorted(unmatched)),
         coverage_ok=uncovered == overlapping == gaps == 0 and certified,
         uncovered=uncovered,
         overlapping=overlapping,

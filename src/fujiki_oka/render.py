@@ -19,12 +19,17 @@ from .polynomial import RemainderPolynomial
 def fan_json_text(fan: Fan) -> str:
     """JSON summary of a fan and its arithmetic cross-checks.
 
-    Cones reference rays by index into the ``rays`` array, each cone's word
-    is the leaf word in the same position (``ValueError`` when the counts
-    differ), and each cone's multiplicity is its leaf determinant; the size
-    and total height are summed over the fan's ``interior_types``.
+    Cones reference rays by index into the ``rays`` array (``ValueError``
+    naming a generator that ``rays`` lacks), each cone's word is the leaf
+    word in the same position (``ValueError`` when the counts differ), and
+    each cone's multiplicity is its leaf determinant; the size and total
+    height are summed over the fan's ``interior_types``.
     """
     index = {ray.scaled: i for i, ray in enumerate(fan.rays)}
+    for cone in fan.max_cones:
+        for g in cone.generators:
+            if g not in index:
+                raise ValueError(f"cone generator {g} is not among the fan's rays")
     types = fan.interior_types
     leaf_words = [w for c, w in zip(fan.nodes, fan.words()) if c.is_smooth_type()]
     # json writes a tuple as an array, so the fan's tuples go in unconverted

@@ -218,30 +218,28 @@ def measure_type(group: GroupType) -> ResolutionReport:
     permuted, so |det| and with it ``smooth_all`` are unchanged too.  Every
     other member therefore copies the first member's record under its own
     weights.  Outside a sweep the memo is a fresh dict, so every call
-    resolves in full.  A hit is one dict lookup plus one record
-    construction, a positional call over every field rather than
-    ``dataclasses.replace``, which walks ``fields()`` and passes keywords.
+    resolves in full.  A hit is one dict lookup plus one copy of the first
+    record's instance dict, with this member's own ``weights`` and ``ms``,
+    installed as the dict of a bare ``ResolutionReport``, the way
+    ``propfrac._trusted`` builds a fraction: the frozen ``__init__`` would
+    make one ``object.__setattr__`` call per field.  The first record is
+    never written.
     ``ms`` is the wall clock of this call: the whole resolution for a first
-    member, only the lookup and the construction for the others.
+    member, only the lookup and the copy for the others.
     """
     t0 = time.perf_counter()
     memo = {} if _orbit_memo is None else _orbit_memo
-    key = (group.r, *sorted(group.weights))
+    frac = group.fraction
+    key = (frac.denominator, *sorted(frac.numerators))
     first = memo.get(key)
     if first is None:
         memo[key] = first = resolution_report(group, validate=False)[0]
-    return ResolutionReport(
-        first.r,
-        group.weights,
-        first.size,
-        first.height,
-        first.euler,
-        first.smooth_all,
-        first.crepant_by_ages,
-        first.crepant_by_fan,
-        first.validation,
-        (time.perf_counter() - t0) * 1000.0,
-    )
+    fields = vars(first).copy()
+    fields["weights"] = frac.numerators
+    fields["ms"] = (time.perf_counter() - t0) * 1000.0
+    record = object.__new__(ResolutionReport)
+    object.__setattr__(record, "__dict__", fields)
+    return record
 
 
 def sweep(

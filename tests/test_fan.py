@@ -411,6 +411,7 @@ class TestValidateFan:
         assert v.multiplicity_ok and v.rays_ok and v.coverage_ok and v.faces_ok
         assert (v.uncovered, v.overlapping, v.boundary_gaps) == (0, 0, 0)
         assert v.faces_certified
+        assert v.bad_rays == v.unmatched_rays == ()
 
     def test_deterministic_for_fixed_seed(self):
         fan = self.golden()
@@ -469,6 +470,38 @@ class TestValidateFan:
         v = validate_fan(broken)
         assert not v.rays_ok
         assert v.bad_rays == ((0, 0, 0),)
+
+    def test_ray_dropped_from_the_list_fails(self):
+        # the cones still tile the orthant, so only the ray list can show it
+        fan = self.golden()
+        exceptional = [k for k, ray in enumerate(fan.rays) if ray.exceptional]
+        assert len(exceptional) == 4
+        for k in exceptional:
+            broken = replace(fan, rays=fan.rays[:k] + fan.rays[k + 1 :])
+            v = validate_fan(broken)
+            assert not v.rays_ok and not v.passed
+            assert v.unmatched_rays == (fan.rays[k].scaled,)
+            assert v.bad_rays == ()
+            assert v.coverage_ok and v.faces_ok
+
+    def test_listed_ray_in_no_cone_fails(self):
+        # (3, 6, 9) is a primitive lattice point of 1/12(1,2,7), so it
+        # passes the ray check, but no maximal cone holds it
+        fan = self.golden()
+        stray = RayInfo((3, 6, 9), True, 12, 6)
+        assert fan.group.primitive(stray.scaled) == stray.scaled
+        v = validate_fan(replace(fan, rays=fan.rays + (stray,)))
+        assert not v.rays_ok and not v.passed
+        assert v.unmatched_rays == ((3, 6, 9),)
+        assert v.bad_rays == ()
+
+    def test_ray_listed_twice_fails(self):
+        fan = self.golden()
+        for k in (0, 3):
+            v = validate_fan(replace(fan, rays=fan.rays + fan.rays[k : k + 1]))
+            assert not v.rays_ok and not v.passed
+            assert v.unmatched_rays == (fan.rays[k].scaled,)
+            assert v.bad_rays == ()
 
     def test_detects_engulfing_cone(self):
         g = GroupType.from_weights(2, (1, 1))

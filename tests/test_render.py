@@ -1,6 +1,7 @@
 """Unit tests for JSON / SVG / DOT output."""
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -81,6 +82,14 @@ class TestJson:
         fan = golden_fan()
         with pytest.raises(ValueError, match="zip"):
             json.loads(fan_json_text(replace(fan, max_cones=fan.max_cones[1:])))
+
+    def test_generator_missing_from_the_rays_is_named(self):
+        # a cone on a point the rays do not list has no index to print
+        fan = golden_fan()
+        for k, ray in enumerate(fan.rays):
+            dropped = replace(fan, rays=fan.rays[:k] + fan.rays[k + 1 :])
+            with pytest.raises(ValueError, match=re.escape(str(ray.scaled))):
+                fan_json_text(dropped)
 
     def test_size_and_height_are_the_expansion(self):
         # the fan's interior local types are the polynomial's coefficients

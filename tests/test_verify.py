@@ -416,12 +416,42 @@ class TestOrbits:
                 assert getattr(rec, field.name) == getattr(expected, field.name), field.name
 
     def test_copies_are_frozen_reports(self):
+        # a copy is indistinguishable from the report its fields construct:
+        # equal, with the same hash and instance dict, and open to replace
         records = sweep(dim=3, r_max=7)
         assert any(rec.weights != tuple(sorted(rec.weights)) for rec in records)
         for rec in records:
             assert type(rec) is ResolutionReport
             with pytest.raises(FrozenInstanceError):
                 rec.weights = (1, 1, 1)
+            built = ResolutionReport(*(getattr(rec, f.name) for f in fields(ResolutionReport)))
+            assert rec == built and hash(rec) == hash(built)
+            assert vars(rec) == vars(built)
+            changed = replace(rec, euler=rec.euler + 1)
+            assert type(changed) is ResolutionReport and changed != rec
+            assert replace(changed, euler=rec.euler) == rec
+
+    def test_each_record_keeps_its_own_weights_and_ms(self, monkeypatch):
+        # the clock's k-th reading is k*k ms, so the i-th call, reading it at
+        # 2i and 2i + 1, lasts 4i + 1 ms: no two calls take the same time,
+        # and a copy that shared or wrote into its first record's fields
+        # would leave earlier records with a later member's weights or ms
+        readings = []
+
+        def clock():
+            readings.append(None)
+            return (len(readings) - 1) ** 2 / 1000.0
+
+        monkeypatch.setattr(verify_mod.time, "perf_counter", clock)
+        records = sweep(dim=3, r_max=6)
+        members = list(_orbit_members(3, 6))
+        assert len(records) == len(members)
+        assert sum(weights == first for _, weights, first in members) < len(members)
+        for i, (rec, (r, weights, _)) in enumerate(zip(records, members)):
+            assert (rec.r, rec.weights) == (r, weights)
+            assert rec.ms == pytest.approx(4 * i + 1)
+        standalone = measure_type(GroupType.from_weights(7, (2, 1)))
+        assert standalone.ms == pytest.approx(4 * len(records) + 1)
 
     @pytest.mark.parametrize("dim, r_max", _ORBIT_RANGES)
     def test_sweep_types_equal_checked_ones(self, dim, r_max, monkeypatch):
